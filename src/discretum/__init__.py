@@ -1,14 +1,15 @@
 """discretum: harmonic-lattice kinematics, dynamics, scattering and operator checks."""
 
 from .dispersion import (CONSTANTS, PROTON_MASS, CutoffComparison,
-                         CutoffEstimate, OscillatorParams, PhysicalConstants,
-                         bz_extent, chain_dispersion, compare_cutoffs,
-                         cutoff_momentum, lattice_spacing_from_cutoff,
+                         CutoffEstimate, ModeGrid, OscillatorParams,
+                         PhysicalConstants, bz_extent, chain_dispersion,
+                         compare_cutoffs, cutoff_momentum,
+                         lattice_spacing_from_cutoff, mode_wave_number,
                          oscillator_frequency, sound_speed)
-from .dynamics import (ChainState, InitSpec, ModeAmplitudes, ModeBasis,
-                       SimConfig, SimResult, accelerations, init_plane_wave,
-                       mode_energies, mode_wave_number, random_state, run_sim,
-                       step, to_modes, total_energy)
+from .dynamics import (ChainState, InitSpec, ModeAmplitudes, SimConfig,
+                       SimResult, accelerations, init_plane_wave,
+                       mode_energies, random_state, run_sim, step, to_modes,
+                       total_energy)
 from .errors import (DegenerateBasisError, DiscretumError, StabilityWarning,
                      SubRestMassError)
 from .lattice import (FoldedVector, GVector, LatticeBasis, ReciprocalBasis,
@@ -21,9 +22,8 @@ from .quantum_bridge import (NcExpression, OperatorMatrix, RelationInputs,
                              oscillator_hamiltonian, oscillator_spectrum,
                              planck_from_lattice, real_form_defect,
                              reduce_mode_hamiltonian)
-from .scattering import (DEFAULT_TOL_FACTOR, KmcTrace, ModeGrid,
-                         PhononPopulation, ScatteringEvent, biased_population,
-                         classify, enumerate_three_phonon, kmc_run,
-                         total_quasimomentum)
+from .scattering import (DEFAULT_TOL_FACTOR, KmcTrace, PhononPopulation,
+                         ScatteringEvent, biased_population, classify,
+                         enumerate_three_phonon, kmc_run)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import dynamics, lattice, quantum_bridge, scattering
-from .dispersion import (CONSTANTS, PROTON_MASS, OscillatorParams,
+from .dispersion import (CONSTANTS, PROTON_MASS, ModeGrid, OscillatorParams,
                          chain_dispersion, compare_cutoffs)
 from .errors import DiscretumError
 
@@ -107,12 +107,13 @@ def _cmd_fold(args):
 
 def _grid(args):
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
-    return scattering.ModeGrid(args.n, params)
+    return ModeGrid(args.n, params)
 
 
 def _cmd_processes(args):
     grid = _grid(args)
-    events = scattering.enumerate_three_phonon(grid, args.tol * grid.omega_max)
+    events = scattering.enumerate_three_phonon(
+        grid, args.tol * grid.params.omega_max)
     rows = [(e.n1, e.n2, e.n3, e.g, e.delta_omega, scattering.classify(e))
             for e in events]
     return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"), rows)
@@ -120,10 +121,9 @@ def _cmd_processes(args):
 
 def _cmd_thermalize(args):
     grid = _grid(args)
-    events = scattering.enumerate_three_phonon(grid, args.tol * grid.omega_max)
+    events = scattering.enumerate_three_phonon(
+        grid, args.tol * grid.params.omega_max)
     mode = {"all": "all", "normal": "normal_only"}[args.mode]
-    if mode == "normal_only":
-        events = [e for e in events if e.g == 0]
     initial = scattering.biased_population(grid, args.phonons)
     trace = scattering.kmc_run(grid, initial, events, args.events, args.seed,
                                mode)

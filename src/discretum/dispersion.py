@@ -2,7 +2,8 @@
 
 The chain dispersion is the nearest-neighbour monatomic law
 omega(q) = 2*sqrt(kappa/m)*|sin(q a/2)|, whose small-q slope is the sound
-speed a*sqrt(kappa/m).  The cutoff estimators map an upper bound on particle
+speed a*sqrt(kappa/m).  ModeGrid holds the chain's integer mode labels and
+their frequencies.  The cutoff estimators map an upper bound on particle
 energy to a relativistic momentum, from there to a lattice spacing a_s = h/p,
 and on to the zone extent 2*pi/a_s.
 """
@@ -52,6 +53,11 @@ class OscillatorParams:
                 "oscillator parameters must be positive, got kappa=%r m=%r a=%r"
                 % (self.kappa, self.m, self.a))
 
+    @property
+    def omega_max(self):
+        """Band-top frequency 2*sqrt(kappa/m) of the chain."""
+        return 2.0 * math.sqrt(self.kappa / self.m)
+
 
 def oscillator_frequency(params):
     """Single-oscillator frequency sqrt(kappa/m)."""
@@ -70,9 +76,57 @@ def chain_dispersion(params, q):
     with slope sound_speed(params) as q -> 0.
     """
     q = np.asarray(q, dtype=float)
-    omega = 2.0 * math.sqrt(params.kappa / params.m) * np.abs(
-        np.sin(0.5 * q * params.a))
-    return float(omega) if omega.ndim == 0 else omega
+    return params.omega_max * np.abs(np.sin(0.5 * q * params.a))
+
+
+def mode_wave_number(n_sites, a, n):
+    """Wave number k_n = 2*pi*n/(N*a) of integer mode label(s) n."""
+    return 2.0 * math.pi * n / (n_sites * a)
+
+
+@dataclass(frozen=True)
+class ModeGrid:
+    """Integer mode labels n in (-N/2, N/2] of an N-site chain.
+
+    `labels` runs in ascending order.  `dft_labels` lists the same set in
+    DFT bin order (bin j holds n = j for j <= N/2 and n = j - N above), the
+    row order of the kernel chi(l;k_n) = exp(i 2 pi n l/N)/sqrt(N).
+    """
+
+    n_sites: int
+    params: OscillatorParams
+
+    def __post_init__(self):
+        if self.n_sites < 2:
+            raise DiscretumError("mode grid needs at least 2 sites")
+        if not isinstance(self.params, OscillatorParams):
+            raise DiscretumError(
+                "mode grid needs OscillatorParams, got %r" % (self.params,))
+
+    @property
+    def labels(self):
+        n = self.n_sites
+        return np.arange(-((n - 1) // 2), n // 2 + 1)
+
+    @property
+    def dft_labels(self):
+        j = np.arange(self.n_sites)
+        return np.where(j <= self.n_sites // 2, j, j - self.n_sites)
+
+    def omega(self, n):
+        return chain_dispersion(
+            self.params, mode_wave_number(self.n_sites, self.params.a, n))
+
+    def wrap(self, n):
+        """Fold an integer label sum back into (-N/2, N/2]."""
+        m = n % self.n_sites
+        return m if m <= self.n_sites // 2 else m - self.n_sites
+
+    def matrix(self):
+        """Explicit (N, N) kernel chi[j, l]; rows (DFT order) are orthonormal."""
+        n = self.n_sites
+        j, l = np.meshgrid(self.dft_labels, np.arange(n), indexing="ij")
+        return np.exp(2j * math.pi * j * l / n) / math.sqrt(n)
 
 
 def cutoff_momentum(consts, E_b, m_p):

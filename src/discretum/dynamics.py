@@ -13,12 +13,13 @@ position-space total for any mass.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import OscillatorParams, chain_dispersion
+from .dispersion import (ModeGrid, OscillatorParams, chain_dispersion,
+                         mode_wave_number)
 from .errors import DiscretumError, StabilityWarning
 
 # Forest-Ruth composition coefficients (4th order, 3 force evaluations).
@@ -51,8 +52,6 @@ class ChainState:
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
-    _buf1: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _buf2: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.u = np.array(self.u, dtype=float)
@@ -68,17 +67,8 @@ class ChainState:
     def n_sites(self):
         return self.u.size
 
-    @property
-    def omega_max(self):
-        return 2.0 * math.sqrt(self.params.kappa / self.params.m)
-
     def copy(self):
         return ChainState(self.params, self.u.copy(), self.v.copy(), self.t)
-
-
-def mode_wave_number(n_sites, a, n):
-    """Wave number k_n = 2*pi*n/(N*a) of integer mode label n."""
-    return 2.0 * math.pi * n / (n_sites * a)
 
 
 def init_plane_wave(n_sites, params, mode_index, amplitude):
@@ -122,30 +112,19 @@ def step(state, dt):
     """
     if dt <= 0:
         raise DiscretumError("dt must be positive, got %r" % dt)
-    if dt * state.omega_max >= STABILITY_LIMIT:
+    omega_max = state.params.omega_max
+    if dt * omega_max >= STABILITY_LIMIT:
         warnings.warn(
             "dt = %g is at or beyond the stable step %g for this chain"
-            % (dt, STABILITY_LIMIT / state.omega_max), StabilityWarning,
+            % (dt, STABILITY_LIMIT / omega_max), StabilityWarning,
             stacklevel=2)
-    n = state.n_sites
-    if state._buf1 is None or state._buf1.size != n:
-        state._buf1 = np.empty(n)
-        state._buf2 = np.empty(n)
-    u, v, buf, buf2 = state.u, state.v, state._buf1, state._buf2
-    ip1, im1 = _wrap_indices(n)
+    u, v = state.u, state.v
+    ip1, im1 = _wrap_indices(state.n_sites)
     km = state.params.kappa / state.params.m
     for i in range(3):
-        np.multiply(v, _FR_DRIFT[i] * dt, out=buf)
-        u += buf
-        np.take(u, ip1, out=buf)
-        np.take(u, im1, out=buf2)
-        buf += buf2
-        buf -= u
-        buf -= u
-        buf *= _FR_KICK[i] * dt * km
-        v += buf
-    np.multiply(v, _FR_DRIFT[3] * dt, out=buf)
-    u += buf
+        u += v * (_FR_DRIFT[i] * dt)
+        v += (u.take(ip1) + u.take(im1) - u - u) * (_FR_KICK[i] * dt * km)
+    u += v * (_FR_DRIFT[3] * dt)
     state.t += dt
     return state
 
@@ -156,35 +135,6 @@ def total_energy(state):
     stretch = state.u.take(ip1) - state.u
     return float(0.5 * state.params.m * np.dot(state.v, state.v)
                  + 0.5 * state.params.kappa * np.dot(stretch, stretch))
-
-
-@dataclass(frozen=True)
-class ModeBasis:
-    """Unitary plane-wave basis chi(l;k_n) = exp(i 2 pi n l/N)/sqrt(N).
-
-    Labels follow DFT bin order: bin j holds n = j for j <= N/2 and
-    n = j - N above, i.e. the label set (-N/2, N/2].
-    """
-
-    n_sites: int
-
-    def __post_init__(self):
-        if self.n_sites < 2:
-            raise DiscretumError("mode basis needs at least 2 sites")
-
-    @property
-    def labels(self):
-        j = np.arange(self.n_sites)
-        return np.where(j <= self.n_sites // 2, j, j - self.n_sites)
-
-    def wave_numbers(self, a):
-        return 2.0 * math.pi * self.labels / (self.n_sites * a)
-
-    def matrix(self):
-        """Explicit (N, N) kernel chi[j, l]; rows are orthonormal."""
-        n = self.n_sites
-        j, l = np.meshgrid(self.labels, np.arange(n), indexing="ij")
-        return np.exp(2j * math.pi * j * l / n) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -210,21 +160,27 @@ class ModeAmplitudes:
                          np.max(np.abs(self.p[conj_bin] - np.conj(self.p)))))
 
 
-def to_modes(state, basis):
+def to_modes(state, grid):
     """Project a chain state onto mass-weighted normal coordinates.
 
-    q(k) = sqrt(m) * DFT_ortho(u), p(k) = sqrt(m) * DFT_ortho(v); the inverse
-    DFT of q/sqrt(m) reconstructs u to rounding.
+    q(k) = sqrt(m) * DFT_ortho(u), p(k) = sqrt(m) * DFT_ortho(v), in the
+    grid's DFT label order; the inverse DFT of q/sqrt(m) reconstructs u to
+    rounding.  The grid must describe the state's chain.
     """
-    if basis.n_sites != state.n_sites:
+    if grid.n_sites != state.n_sites:
         raise DiscretumError(
-            "basis has %d sites, state has %d" % (basis.n_sites, state.n_sites))
+            "grid has %d sites, state has %d" % (grid.n_sites, state.n_sites))
+    if grid.params != state.params:
+        raise DiscretumError(
+            "grid params %r differ from state params %r"
+            % (grid.params, state.params))
     sm = math.sqrt(state.params.m)
+    labels = grid.dft_labels
     return ModeAmplitudes(
-        labels=basis.labels,
+        labels=labels,
         q=sm * np.fft.fft(state.u, norm="ortho"),
         p=sm * np.fft.fft(state.v, norm="ortho"),
-        omega=chain_dispersion(state.params, basis.wave_numbers(state.params.a)))
+        omega=grid.omega(labels))
 
 
 def mode_energies(amps):
@@ -287,7 +243,7 @@ class SimConfig:
     def dt_effective(self):
         if self.dt is not None:
             return self.dt
-        return 0.02 / (2.0 * math.sqrt(self.kappa / self.m))
+        return 0.02 / self.params.omega_max
 
     @classmethod
     def from_dict(cls, d):
@@ -327,14 +283,14 @@ def _initial_state(config):
 def run_sim(config):
     """Integrate per config, sampling every `stride` steps (plus first/last row)."""
     state = _initial_state(config)
-    basis = ModeBasis(config.n_sites)
+    grid = ModeGrid(config.n_sites, state.params)
     dt = config.dt_effective
     rows_t, rows_e, rows_m, rows_u = [], [], [], []
 
     def sample():
         rows_t.append(state.t)
         rows_e.append(total_energy(state))
-        rows_m.append(mode_energies(to_modes(state, basis)))
+        rows_m.append(mode_energies(to_modes(state, grid)))
         rows_u.append(state.u.copy())
 
     sample()

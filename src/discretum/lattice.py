@@ -162,6 +162,10 @@ def fold_to_bz(recip, k):
     coordinates, then all integer shells within FOLD_SHELLS of that guess
     are scanned, which is exhaustive after pre-reduction.
     """
+    if not isinstance(recip, ReciprocalBasis):
+        raise DiscretumError(
+            "fold_to_bz needs a ReciprocalBasis, got %s (use reciprocal_basis)"
+            % type(recip).__name__)
     k = np.asarray(k, dtype=float)
     if k.shape != (recip.dim,):
         raise DiscretumError(

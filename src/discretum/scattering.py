@@ -13,48 +13,15 @@ inputs occupied, split needs the output occupied — and applied.  Identical
 seeds give identical traces.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import chain_dispersion
+from .dispersion import ModeGrid
 from .errors import DiscretumError
 
 # Default frequency-residual tolerance as a fraction of omega_max.
 DEFAULT_TOL_FACTOR = 0.05
-
-
-@dataclass(frozen=True)
-class ModeGrid:
-    """Integer mode labels n in (-N/2, N/2] with chain frequencies."""
-
-    n_sites: int
-    params: object
-
-    def __post_init__(self):
-        if self.n_sites < 2:
-            raise DiscretumError("mode grid needs at least 2 sites")
-
-    @property
-    def labels(self):
-        n = self.n_sites
-        return np.arange(-((n - 1) // 2), n // 2 + 1)
-
-    def wave_number(self, n):
-        return 2.0 * math.pi * np.asarray(n) / (self.n_sites * self.params.a)
-
-    def omega(self, n):
-        return chain_dispersion(self.params, self.wave_number(n))
-
-    @property
-    def omega_max(self):
-        return 2.0 * math.sqrt(self.params.kappa / self.params.m)
-
-    def wrap(self, n):
-        """Fold an integer label sum back into (-N/2, N/2]."""
-        m = n % self.n_sites
-        return m if m <= self.n_sites // 2 else m - self.n_sites
 
 
 @dataclass(frozen=True)
@@ -131,11 +98,6 @@ def biased_population(grid, total, labels=None):
     return PhononPopulation.from_counts(grid, counts)
 
 
-def total_quasimomentum(pop):
-    """Integer sum of occupation*label over the grid."""
-    return pop.drift
-
-
 def enumerate_three_phonon(grid, tol_omega):
     """All channels (n1 <= n2) -> n3 with frequency residual <= tol_omega.
 
@@ -163,8 +125,9 @@ def enumerate_three_phonon(grid, tol_omega):
 class KmcTrace:
     """Per-step record of one Monte Carlo run plus the final occupation.
 
-    direction +1 is a merge (n1, n2) -> n3, -1 the reverse split.  Arrays
-    are truncated at early termination and `status` says why.
+    `event_indices` index the `events` list given to kmc_run.  direction +1
+    is a merge (n1, n2) -> n3, -1 the reverse split.  Arrays are truncated
+    at early termination and `status` says why.
     """
 
     event_indices: np.ndarray
@@ -192,10 +155,11 @@ def kmc_run(grid, initial, events, n_events, seed, mode="all"):
         raise DiscretumError("mode must be 'all' or 'normal_only', got %r" % mode)
     if n_events < 0:
         raise DiscretumError("n_events must be >= 0")
-    if mode == "normal_only":
-        events = [e for e in events if e.g == 0]
-    if not events:
+    keep = (np.arange(len(events)) if mode == "all"
+            else np.flatnonzero([e.g == 0 for e in events]))
+    if keep.size == 0:
         raise DiscretumError("event set is empty for mode %r" % mode)
+    events = [events[i] for i in keep]
 
     base = int(grid.labels[0])
     i1 = np.array([e.n1 - base for e in events])
@@ -254,7 +218,7 @@ def kmc_run(grid, initial, events, n_events, seed, mode="all"):
     assert drift == int(np.dot(counts, labels_arr))
 
     counts.setflags(write=False)
-    return KmcTrace(event_indices=ev_rec[:applied],
+    return KmcTrace(event_indices=keep[ev_rec[:applied]],
                     directions=dir_rec[:applied],
                     drifts=drift_rec[:applied],
                     energies=energy_rec[:applied],

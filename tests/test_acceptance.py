@@ -16,7 +16,6 @@ from discretum import (
     CONSTANTS,
     PROTON_MASS,
     LatticeBasis,
-    ModeBasis,
     ModeGrid,
     OscillatorParams,
     PhononPopulation,
@@ -126,7 +125,7 @@ def test_04_parseval_identity():
         n = int(rng.choice([8, 16, 24, 64]))
         s = random_state(n, OscillatorParams(kappa=kappa, m=m, a=a),
                          seed=int(rng.integers(1 << 31)))
-        e_modes = float(np.sum(mode_energies(to_modes(s, ModeBasis(n)))))
+        e_modes = float(np.sum(mode_energies(to_modes(s, ModeGrid(n, s.params)))))
         e_pos = total_energy(s)
         worst = max(worst, abs(e_modes - e_pos) / e_pos)
     ok = worst <= 1e-9
@@ -169,13 +168,13 @@ def test_06_mode_decoupling():
     n_sites, n = 64, 7
     p = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
     s = init_plane_wave(n_sites, p, n, 1.0)
-    basis = ModeBasis(n_sites)
-    dt = 0.02 / s.omega_max
+    grid = ModeGrid(n_sites, s.params)
+    dt = 0.02 / s.params.omega_max
     worst_fraction = 1.0
     for _ in range(10):
         for _ in range(1000):
             step(s, dt)
-        e = mode_energies(to_modes(s, basis))
+        e = mode_energies(to_modes(s, grid))
         inside = float(e[n] + e[(-n) % n_sites])
         worst_fraction = min(worst_fraction, inside / float(np.sum(e)))
     ok = worst_fraction >= 1.0 - 1e-10
@@ -192,7 +191,7 @@ def test_07_scattering_enumeration_oracle():
         grid = ModeGrid(n_sites, p)
         labels = [int(x) for x in grid.labels if x != 0]
         for tol_factor in (0.0, 0.1, 0.2):
-            tol = tol_factor * grid.omega_max
+            tol = tol_factor * grid.params.omega_max
             brute = set()
             for n1 in labels:
                 for n2 in labels:
@@ -220,7 +219,7 @@ def test_08_momentum_ledger_and_umklapp_damping():
     t0 = time.perf_counter()
     p = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
     grid = ModeGrid(32, p)
-    tol = 0.5 * grid.omega_max
+    tol = 0.5 * grid.params.omega_max
     events = [e for e in enumerate_three_phonon(grid, tol)
               if 16 not in (abs(e.n1), abs(e.n2), abs(e.n3))]
     assert any(e.g != 0 for e in events)

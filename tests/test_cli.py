@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from conftest import run_cli
 from discretum import (
@@ -147,21 +148,32 @@ def test_thermalize_normal_mode_conserves_drift():
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
 
 
-def test_thermalize_matches_library_run():
-    argv = ("thermalize", "--n", "8", "--tol", "0.2", "--events", "40",
-            "--seed", "9", "--phonons", "10")
+@pytest.mark.parametrize("cli_mode,lib_mode",
+                         [("all", "all"), ("normal", "normal_only")],
+                         ids=["all", "normal"])
+def test_thermalize_matches_library_run(cli_mode, lib_mode):
+    argv = ("thermalize", "--n", "16", "--tol", "0.3", "--events", "40",
+            "--seed", "9", "--phonons", "10", "--mode", cli_mode)
     status, out, _ = run_cli(*argv)
     assert status == 0
     _, rows = parse_csv(out)
-    grid = ModeGrid(8, UNIT)
-    events = enumerate_three_phonon(grid, 0.2 * grid.omega_max)
-    trace = kmc_run(grid, biased_population(grid, 10), events, 40, 9, "all")
+    grid = ModeGrid(16, UNIT)
+    events = enumerate_three_phonon(grid, 0.3 * grid.params.omega_max)
+    assert events[0].g != 0  # normal-only indices must skip this channel
+    trace = kmc_run(grid, biased_population(grid, 10), events, 40, 9,
+                    lib_mode)
+    assert len(rows) == trace.n_applied + 1
     assert int(rows[0][1]) == trace.initial_drift
     assert float(rows[0][2]) == trace.initial_energy
+    drift = trace.initial_drift
     for s in range(trace.n_applied):
+        g = events[trace.event_indices[s]].g
+        # the indexed channel must be the one that moved the drift
+        assert trace.drifts[s] - drift == -trace.directions[s] * g * 16
+        drift = trace.drifts[s]
         assert int(rows[s + 1][1]) == trace.drifts[s]
         assert float(rows[s + 1][2]) == trace.energies[s]
-        assert int(rows[s + 1][3]) == events[trace.event_indices[s]].g
+        assert int(rows[s + 1][3]) == g
 
 
 def test_thermalize_umklapp_changes_drift():

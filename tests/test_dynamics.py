@@ -10,7 +10,7 @@ from discretum import (
     DiscretumError,
     InitSpec,
     ModeAmplitudes,
-    ModeBasis,
+    ModeGrid,
     OscillatorParams,
     SimConfig,
     StabilityWarning,
@@ -156,7 +156,7 @@ def test_energy_conservation_random_state():
     p = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
     s = random_state(32, p, seed=11)
     e0 = total_energy(s)
-    dt = 0.02 / s.omega_max
+    dt = 0.02 / s.params.omega_max
     worst = 0.0
     for i in range(10_000):
         step(s, dt)
@@ -187,21 +187,21 @@ def test_measured_frequency_and_mass_scaling():
 
 
 def test_mode_basis_labels_and_matrix():
-    b = ModeBasis(8)
-    np.testing.assert_array_equal(b.labels, [0, 1, 2, 3, 4, -3, -2, -1])
-    b5 = ModeBasis(5)
-    np.testing.assert_array_equal(b5.labels, [0, 1, 2, -2, -1])
+    b = ModeGrid(8, UNIT)
+    np.testing.assert_array_equal(b.dft_labels, [0, 1, 2, 3, 4, -3, -2, -1])
+    b5 = ModeGrid(5, UNIT)
+    np.testing.assert_array_equal(b5.dft_labels, [0, 1, 2, -2, -1])
     k = b.matrix()
     np.testing.assert_allclose(k @ k.conj().T, np.eye(8), rtol=0, atol=1e-12)
     with pytest.raises(DiscretumError):
-        ModeBasis(1)
+        ModeGrid(1, UNIT)
 
 
 def test_to_modes_matches_explicit_dft():
     """FFT path against a literal O(N^2) transform written independently."""
     p = OscillatorParams(kappa=1.0, m=2.5, a=1.0)
     s = random_state(16, p, seed=21)
-    amps = to_modes(s, ModeBasis(16))
+    amps = to_modes(s, ModeGrid(16, s.params))
     sm = math.sqrt(p.m)
     np.testing.assert_allclose(amps.q, sm * dft_mode_weights(s.u), rtol=0, atol=1e-12)
     np.testing.assert_allclose(amps.p, sm * dft_mode_weights(s.v), rtol=0, atol=1e-12)
@@ -209,17 +209,19 @@ def test_to_modes_matches_explicit_dft():
 
 def test_to_modes_roundtrip_and_mismatch():
     s = random_state(12, UNIT, seed=4)
-    amps = to_modes(s, ModeBasis(12))
+    amps = to_modes(s, ModeGrid(12, s.params))
     u_back = np.fft.ifft(amps.q, norm="ortho") / math.sqrt(UNIT.m)
     np.testing.assert_allclose(u_back.real, s.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(u_back.imag, np.zeros(12), rtol=0, atol=1e-12)
     with pytest.raises(DiscretumError):
-        to_modes(s, ModeBasis(8))
+        to_modes(s, ModeGrid(8, s.params))
+    with pytest.raises(DiscretumError):
+        to_modes(s, ModeGrid(12, OscillatorParams(kappa=2.0, m=1.0, a=1.0)))
 
 
 def test_uniform_translation_is_pure_zero_mode():
     s = ChainState(UNIT, 3.0 * np.ones(8), np.zeros(8))
-    amps = to_modes(s, ModeBasis(8))
+    amps = to_modes(s, ModeGrid(8, s.params))
     np.testing.assert_allclose(amps.q[0], 3.0 * math.sqrt(8), rtol=1e-14)
     assert np.max(np.abs(amps.q[1:])) < 1e-12
     # and it carries no energy
@@ -229,7 +231,7 @@ def test_uniform_translation_is_pure_zero_mode():
 
 def test_reality_defect():
     s = random_state(10, UNIT, seed=5)
-    amps = to_modes(s, ModeBasis(10))
+    amps = to_modes(s, ModeGrid(10, s.params))
     assert amps.reality_defect() < 1e-12
     broken = ModeAmplitudes(labels=amps.labels,
                             q=amps.q + 1j * np.eye(10)[1],
@@ -242,7 +244,7 @@ def test_reality_defect():
 def test_parseval_mode_energy_sum(seed, kappa, m, a):
     p = OscillatorParams(kappa=kappa, m=m, a=a)
     s = random_state(24, p, seed=seed)
-    amps = to_modes(s, ModeBasis(24))
+    amps = to_modes(s, ModeGrid(24, s.params))
     np.testing.assert_allclose(
         float(np.sum(mode_energies(amps))), total_energy(s), rtol=1e-9)
 
@@ -250,12 +252,12 @@ def test_parseval_mode_energy_sum(seed, kappa, m, a):
 def test_parseval_holds_along_a_trajectory():
     p = OscillatorParams(kappa=2.0, m=0.7, a=1.0)
     s = random_state(16, p, seed=9)
-    basis = ModeBasis(16)
-    dt = 0.02 / s.omega_max
+    grid = ModeGrid(16, s.params)
+    dt = 0.02 / s.params.omega_max
     for _ in range(50):
         for _ in range(20):
             step(s, dt)
-        amps = to_modes(s, basis)
+        amps = to_modes(s, grid)
         np.testing.assert_allclose(
             float(np.sum(mode_energies(amps))), total_energy(s), rtol=1e-9)
         assert amps.reality_defect() < 1e-10
@@ -264,11 +266,11 @@ def test_parseval_holds_along_a_trajectory():
 def test_plane_wave_mode_energy_concentration():
     n_sites, n = 32, 5
     s = init_plane_wave(n_sites, UNIT, n, 1.0)
-    basis = ModeBasis(n_sites)
-    dt = 0.02 / s.omega_max
+    grid = ModeGrid(n_sites, s.params)
+    dt = 0.02 / s.params.omega_max
     for _ in range(10_000):
         step(s, dt)
-    e = mode_energies(to_modes(s, basis))
+    e = mode_energies(to_modes(s, grid))
     total = float(np.sum(e))
     inside = float(e[n] + e[(-n) % n_sites])
     assert inside / total >= 1.0 - 1e-10

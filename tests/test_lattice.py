@@ -222,6 +222,12 @@ def test_fold_shape_mismatch_rejected():
         fold_to_bz(recip, [1.0, 2.0, 3.0])
 
 
+def test_fold_rejects_direct_basis():
+    basis = LatticeBasis(np.array([[2.0, 0.0], [0.5, 1.0]]))
+    with pytest.raises(DiscretumError):
+        fold_to_bz(basis, [1.0, 2.0])
+
+
 def test_result_types_are_frozen():
     recip = reciprocal_basis(LatticeBasis.cubic(1.0, dim=1))
     out = fold_to_bz(recip, [1.0])
