@@ -7,7 +7,7 @@ from .dispersion import (CONSTANTS, PROTON_MASS, CutoffComparison,
                          lattice_spacing_from_cutoff, mode_wave_number,
                          oscillator_frequency, sound_speed)
 from .dynamics import (ChainState, InitSpec, ModeAmplitudes, SimConfig,
-                       SimResult, accelerations, init_plane_wave,
+                       SimResult, accelerations, advance, init_plane_wave,
                        mode_energies, random_state, run_sim, step, to_modes,
                        total_energy)
 from .errors import (DegenerateBasisError, DiscretumError, StabilityWarning,

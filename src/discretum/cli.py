@@ -142,8 +142,8 @@ def _cmd_simulate(args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = dynamics.run_sim(config)
-    for w in caught:
-        print("warning: %s" % w.message, file=sys.stderr)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print("warning: %s" % message, file=sys.stderr)
     header = ["t", "E_total"] + ["E_mode_%d" % j for j in range(config.n_sites)]
     rows = [
         (float(result.times[i]), float(result.total_energy[i]),

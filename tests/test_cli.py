@@ -232,6 +232,16 @@ def test_simulate_stability_warning_on_stderr(tmp_path):
     assert status == 0
     assert out.startswith("t,E_total")
     assert "warning:" in err
+    assert sum(line.startswith("warning: dt") for line in err.splitlines()) == 1
+    # stderr does not depend on what an earlier in-process run cached
+    unstable = write_config(tmp_path, {
+        "n_sites": 8, "steps": 1000, "stride": 500, "dt": 1.0,
+        "init": {"type": "random", "seed": 1},
+    })
+    first = run_cli("simulate", "--config", unstable)
+    assert first == run_cli("simulate", "--config", unstable)
+    assert sum(line.startswith("warning: dt")
+               for line in first[2].splitlines()) == 1
 
 
 def test_simulate_config_validation(tmp_path):
@@ -256,6 +266,26 @@ def test_simulate_config_validation(tmp_path):
 
     status, _, err = run_cli("simulate", "--config", str(tmp_path / "gone.json"))
     assert status == 2 and "gone.json" in err
+
+    for key, value in (("n_sites", 8.5), ("n_sites", True), ("n_sites", 1),
+                       ("steps", 2.5), ("stride", True), ("stride", 1.0),
+                       ("dt", "x"), ("dt", float("nan")), ("dt", float("inf")),
+                       ("dt", 0.0), ("kappa", float("inf")), ("m", "1"),
+                       ("a", float("nan")), ("kappa", False)):
+        cfg = {"n_sites": 8, "steps": 2, "init": {"type": "random"}, key: value}
+        status, out, err = run_cli("simulate", "--config",
+                                   write_config(tmp_path, cfg))
+        assert (status, out) == (2, ""), (key, value)
+        assert err.startswith("discretum simulate:") and err.count("\n") == 1
+    for key, value in (("mode_index", 1.5), ("mode_index", True),
+                       ("seed", 2.0), ("seed", -1), ("amplitude", "big"),
+                       ("amplitude", float("inf"))):
+        cfg = {"n_sites": 8, "steps": 2,
+               "init": {"type": "plane_wave", key: value}}
+        status, out, err = run_cli("simulate", "--config",
+                                   write_config(tmp_path, cfg))
+        assert (status, out) == (2, ""), (key, value)
+        assert err.startswith("discretum simulate:") and err.count("\n") == 1
 
 
 # --------------------------------------------------------------- dispersion

@@ -15,6 +15,7 @@ from discretum import (
     SimConfig,
     StabilityWarning,
     accelerations,
+    advance,
     chain_dispersion,
     init_plane_wave,
     mode_energies,
@@ -25,6 +26,7 @@ from discretum import (
     to_modes,
     total_energy,
 )
+from discretum.dynamics import STABILITY_LIMIT, _step_matrix
 
 UNIT = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
 
@@ -121,6 +123,45 @@ def test_stability_warning_threshold():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             step(s, dt)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 64, 4096])
+@pytest.mark.parametrize("kappa,m,a", [(1.0, 1.0, 1.0), (2.3, 0.7, 1.3)])
+def test_advance_matches_repeated_step(n_sites, kappa, m, a):
+    p = OscillatorParams(kappa=kappa, m=m, a=a)
+    dt = 0.02 / p.omega_max
+    for n in (1, 7, 1000):
+        fast = random_state(n_sites, p, seed=n)
+        ref = fast.copy()
+        advance(fast, dt, n)
+        for _ in range(n):
+            step(ref, dt)
+        assert np.max(np.abs(fast.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
+        assert np.max(np.abs(fast.v - ref.v)) <= 1e-12 * np.max(np.abs(ref.v))
+        assert fast.t == ref.t
+    s = random_state(n_sites, p, seed=0)
+    for bad in (0.0, -dt):
+        with pytest.raises(DiscretumError):
+            advance(s, bad, 3)
+    for bad in (-1, 2.5):
+        with pytest.raises(DiscretumError):
+            advance(s, dt, bad)
+    with pytest.warns(StabilityWarning):
+        advance(s, STABILITY_LIMIT / p.omega_max, 3)
+
+
+def test_stability_limit_is_the_trace_bound():
+    """|tr M(k)| < 2 on every oscillating bin just below the limit, > 2 above.
+
+    Bin 0 (uniform translation, omega = 0) is a pure drift with trace
+    exactly 2 at any dt, so the bound is taken over k != 0.
+    """
+    for p in (UNIT, OscillatorParams(kappa=2.3, m=0.7, a=1.3)):
+        def max_trace(x):
+            m = _step_matrix(64, p, x / p.omega_max)
+            return np.max(np.abs(np.trace(m[1:], axis1=1, axis2=2)))
+        assert max_trace(STABILITY_LIMIT) < 2.0
+        assert max_trace(1.58) > 2.0
 
 
 def test_large_stable_step_does_not_blow_up():
