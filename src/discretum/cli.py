@@ -127,6 +127,9 @@ def _cmd_thermalize(args):
     initial = scattering.biased_population(grid, args.phonons)
     trace = scattering.kmc_run(grid, initial, events, args.events, args.seed,
                                mode)
+    if trace.status != "completed":
+        print("warning: KMC stopped after %d of %d events: %s"
+              % (trace.n_applied, args.events, trace.status), file=sys.stderr)
     rows = [(0, trace.initial_drift, trace.initial_energy, "")]
     for s in range(trace.n_applied):
         rows.append((s + 1, int(trace.drifts[s]), float(trace.energies[s]),
@@ -154,6 +157,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_dispersion(args):
+    if args.q_samples < 0:
+        raise DiscretumError(
+            "--q-samples must be >= 0, got %d" % args.q_samples)
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
     edge = math.pi / args.a
     qs = np.linspace(-edge, edge, args.q_samples)

@@ -118,9 +118,9 @@ class ModeGrid:
             self.params, mode_wave_number(self.n_sites, self.params.a, n))
 
     def wrap(self, n):
-        """Fold an integer label sum back into (-N/2, N/2]."""
+        """Fold integer label sum(s), scalar or array, into (-N/2, N/2]."""
         m = n % self.n_sites
-        return m if m <= self.n_sites // 2 else m - self.n_sites
+        return m - self.n_sites * (m > self.n_sites // 2)
 
     def matrix(self):
         """Explicit (N, N) kernel chi[j, l]; rows (DFT order) are orthonormal."""

@@ -170,6 +170,8 @@ def fold_to_bz(recip, k):
     if k.shape != (recip.dim,):
         raise DiscretumError(
             "k has shape %s, expected (%d,)" % (k.shape, recip.dim))
+    if not np.isfinite(k).all():
+        raise DiscretumError("k must be finite, got %s" % (k.tolist(),))
     frac = np.linalg.solve(recip.vectors.T, k)
     base = np.rint(frac)
     cand = base + _shell_offsets(recip.dim)

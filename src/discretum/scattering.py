@@ -10,7 +10,12 @@ the event.
 The Monte Carlo gas treats phonons as distinguishable counters: at each step
 one applicable (event, direction) pair is drawn uniformly — merge needs both
 inputs occupied, split needs the output occupied — and applied.  Identical
-seeds give identical traces.
+seeds give identical traces.  The ascending array of applicable pairs is
+kept between events and rescanned only after an event leaves one of its
+three modes below 4 phonons, the only case in which an applicability flag
+can change; the draw from it, and so the random stream, is the same as with
+a rescan before every event.  Channel enumeration works one n1 at a time
+over all n2 >= n1 as arrays.
 """
 
 from dataclasses import dataclass
@@ -88,6 +93,8 @@ class PhononPopulation:
 
 def biased_population(grid, total, labels=None):
     """`total` phonons dealt round-robin over `labels` (default 1..N/2)."""
+    if total < 0:
+        raise DiscretumError("phonon count must be >= 0, got %r" % (total,))
     if labels is None:
         labels = [int(n) for n in grid.labels if n > 0]
     labels = list(labels)
@@ -102,22 +109,29 @@ def enumerate_three_phonon(grid, tol_omega):
     """All channels (n1 <= n2) -> n3 with frequency residual <= tol_omega.
 
     The zero label never participates (it is the uniform translation).  The
-    output is ordered by (n1, n2) ascending and is deterministic.
+    output is ordered by (n1, n2) ascending and is deterministic.  Each n1
+    handles its whole row of n2 >= n1 as arrays, so memory stays at the size
+    of the result.
     """
     if tol_omega < 0:
         raise DiscretumError("tol_omega must be >= 0")
-    labels = [int(n) for n in grid.labels if n != 0]
-    omega = {n: float(grid.omega(n)) for n in labels}
+    n_sites = grid.n_sites
+    all_labels = grid.labels
+    base = int(all_labels[0])
+    omega = grid.omega(all_labels)
+    labels = all_labels[all_labels != 0]
     events = []
-    for i, n1 in enumerate(labels):
-        for n2 in labels[i:]:
-            n3 = grid.wrap(n1 + n2)
-            if n3 == 0:
-                continue
-            g = (n1 + n2 - n3) // grid.n_sites
-            residual = abs(omega[n1] + omega[n2] - omega[n3])
-            if residual <= tol_omega:
-                events.append(ScatteringEvent(n1, n2, n3, g, residual))
+    for i, n1 in enumerate(labels.tolist()):
+        n2 = labels[i:]
+        total = n1 + n2
+        n3 = grid.wrap(total)
+        residual = np.abs(omega[n1 - base] + omega[n2 - base]
+                          - omega[n3 - base])
+        keep = (n3 != 0) & (residual <= tol_omega)
+        for b, c, g, r in zip(n2[keep].tolist(), n3[keep].tolist(),
+                              ((total[keep] - n3[keep]) // n_sites).tolist(),
+                              residual[keep].tolist()):
+            events.append(ScatteringEvent(n1, b, c, g, r))
     return events
 
 
@@ -161,21 +175,29 @@ def kmc_run(grid, initial, events, n_events, seed, mode="all"):
         raise DiscretumError("event set is empty for mode %r" % mode)
     events = [events[i] for i in keep]
 
-    base = int(grid.labels[0])
+    labels_arr = grid.labels
+    base = int(labels_arr[0])
     i1 = np.array([e.n1 - base for e in events])
     i2 = np.array([e.n2 - base for e in events])
     i3 = np.array([e.n3 - base for e in events])
     gs = np.array([e.g for e in events])
-    d_omega = np.array([float(grid.omega(e.n3))
-                        - float(grid.omega(e.n1)) - float(grid.omega(e.n2))
-                        for e in events])
-    same = i1 == i2
+    om = grid.omega(labels_arr)
+    d_omega = om[i3] - om[i1] - om[i2]
     n_ev = len(events)
+    # Pair p (merges first, then splits) can fire when both of its input
+    # modes in_a[p], in_b[p] hold at least need[p] phonons: a merge with
+    # n1 == n2 takes two from one mode, a split one from n3.
+    in_a = np.concatenate([i1, i3])
+    in_b = np.concatenate([i2, i3])
+    need = np.concatenate([np.where(i1 == i2, 2, 1), np.ones(n_ev, int)])
 
     counts = initial.counts.copy()
     drift = initial.drift
     energy = initial.total_energy
-    labels_arr = grid.labels
+
+    def applicable():
+        """Ascending indices of the pairs that can fire."""
+        return (np.minimum(counts[in_a], counts[in_b]) >= need).nonzero()[0]
 
     ev_rec = np.empty(n_events, dtype=np.int64)
     dir_rec = np.empty(n_events, dtype=np.int64)
@@ -185,12 +207,8 @@ def kmc_run(grid, initial, events, n_events, seed, mode="all"):
     rng = np.random.default_rng(seed)
     status = "completed"
     applied = 0
+    cand = applicable()
     for s in range(n_events):
-        o1 = counts[i1]
-        o2 = counts[i2]
-        merge_ok = np.where(same, o1 >= 2, (o1 >= 1) & (o2 >= 1))
-        split_ok = counts[i3] >= 1
-        cand = np.flatnonzero(np.concatenate([merge_ok, split_ok]))
         if cand.size == 0:
             status = "no_applicable_event"
             break
@@ -215,6 +233,11 @@ def kmc_run(grid, initial, events, n_events, seed, mode="all"):
         drift_rec[s] = drift
         energy_rec[s] = energy
         applied += 1
+        # A flag reads a count only through >= 1 and >= 2, and one event
+        # moves a count by at most 2, so while every touched count is >= 4
+        # no flag changed and `cand` is still exactly what a rescan returns.
+        if min(counts[i1[e]], counts[i2[e]], counts[i3[e]]) < 4:
+            cand = applicable()
     assert drift == int(np.dot(counts, labels_arr))
 
     counts.setflags(write=False)

@@ -68,6 +68,14 @@ def test_fold_malformed_k(tmp_path):
     assert err.startswith("discretum fold:")
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_fold_non_finite_k(tmp_path, k):
+    basis = write_basis(tmp_path, 1, [[1.0]])
+    status, out, err = run_cli("fold", "--basis", basis, "--k=" + k)
+    assert status == 2 and out == ""
+    assert err.startswith("discretum fold:") and err.count("\n") == 1
+
+
 def test_fold_degenerate_basis(tmp_path):
     basis = write_basis(tmp_path, 2, [[1.0, 0.0], [2.0, 0.0]])
     status, _, err = run_cli("fold", "--basis", basis, "--k", "1.0,1.0")
@@ -188,6 +196,23 @@ def test_thermalize_umklapp_changes_drift():
     assert any(row[3] not in ("", "0") for row in rows)
 
 
+def test_thermalize_rejects_negative_phonons():
+    status, out, err = run_cli("thermalize", "--phonons", "-5")
+    assert status == 2 and out == ""
+    assert err.startswith("discretum thermalize:") and err.count("\n") == 1
+
+
+def test_thermalize_early_stop_warns_on_stderr():
+    argv = ("thermalize", "--n", "16", "--tol", "0.3", "--events", "10")
+    status, out, err = run_cli(*argv, "--phonons", "0")
+    assert status == 0
+    assert out == "step,drift,energy,event_g\n0,0,0,\n"
+    assert err == ("warning: KMC stopped after 0 of 10 events: "
+                   "no_applicable_event\n")
+    status, out, err = run_cli(*argv, "--phonons", "40")
+    assert status == 0 and err == "" and out.count("\n") == 12
+
+
 def test_thermalize_byte_determinism():
     argv = ("thermalize", "--n", "16", "--tol", "0.3", "--events", "100",
             "--seed", "5")
@@ -301,6 +326,14 @@ def test_dispersion_table():
     for row, q in zip(rows, qs):
         assert float(row[0]) == q
         assert float(row[1]) == chain_dispersion(p, q)
+
+
+def test_dispersion_rejects_negative_samples():
+    status, out, err = run_cli("dispersion", "--q-samples", "-1")
+    assert status == 2 and out == ""
+    assert err.startswith("discretum dispersion:") and err.count("\n") == 1
+    status, out, err = run_cli("dispersion", "--q-samples", "0")
+    assert (status, out, err) == (0, "q,omega\n", "")
 
 
 def test_dispersion_byte_determinism():

@@ -222,6 +222,13 @@ def test_fold_shape_mismatch_rejected():
         fold_to_bz(recip, [1.0, 2.0, 3.0])
 
 
+def test_fold_rejects_non_finite_k():
+    recip = reciprocal_basis(LatticeBasis.cubic(1.0, dim=2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DiscretumError, match="finite"):
+            fold_to_bz(recip, [0.5, bad])
+
+
 def test_fold_rejects_direct_basis():
     basis = LatticeBasis(np.array([[2.0, 0.0], [0.5, 1.0]]))
     with pytest.raises(DiscretumError):

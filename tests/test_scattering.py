@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discretum import (
     DEFAULT_TOL_FACTOR,
@@ -39,6 +41,96 @@ def brute_force_events(grid, tol):
     return found
 
 
+def reference_enumerate(grid, tol_omega):
+    """Oracle: the scalar double loop over n1 <= n2, one omega call a label."""
+    labels = [int(n) for n in grid.labels if n != 0]
+    omega = {n: float(grid.omega(n)) for n in labels}
+    events = []
+    for i, n1 in enumerate(labels):
+        for n2 in labels[i:]:
+            n3 = (n1 + n2) % grid.n_sites
+            if n3 > grid.n_sites // 2:
+                n3 -= grid.n_sites
+            if n3 == 0:
+                continue
+            g = (n1 + n2 - n3) // grid.n_sites
+            residual = abs(omega[n1] + omega[n2] - omega[n3])
+            if residual <= tol_omega:
+                events.append(ScatteringEvent(n1, n2, n3, g, residual))
+    return events
+
+
+def reference_kmc_run(grid, initial, events, n_events, seed, mode="all"):
+    """Oracle: rescan every (channel, direction) pair before every event."""
+    keep = (np.arange(len(events)) if mode == "all"
+            else np.flatnonzero([e.g == 0 for e in events]))
+    events = [events[i] for i in keep]
+    base = int(grid.labels[0])
+    i1 = np.array([e.n1 - base for e in events])
+    i2 = np.array([e.n2 - base for e in events])
+    i3 = np.array([e.n3 - base for e in events])
+    gs = np.array([e.g for e in events])
+    d_omega = np.array([float(grid.omega(e.n3))
+                        - float(grid.omega(e.n1)) - float(grid.omega(e.n2))
+                        for e in events])
+    same = i1 == i2
+    n_ev = len(events)
+    counts = initial.counts.copy()
+    drift = initial.drift
+    energy = initial.total_energy
+    ev_rec, dir_rec, drift_rec, energy_rec = [], [], [], []
+    rng = np.random.default_rng(seed)
+    status = "completed"
+    for _ in range(n_events):
+        o1 = counts[i1]
+        o2 = counts[i2]
+        merge_ok = np.where(same, o1 >= 2, (o1 >= 1) & (o2 >= 1))
+        split_ok = counts[i3] >= 1
+        cand = np.flatnonzero(np.concatenate([merge_ok, split_ok]))
+        if cand.size == 0:
+            status = "no_applicable_event"
+            break
+        pick = int(cand[rng.integers(cand.size)])
+        if pick < n_ev:
+            e = pick
+            counts[i1[e]] -= 1
+            counts[i2[e]] -= 1
+            counts[i3[e]] += 1
+            drift -= int(gs[e]) * grid.n_sites
+            energy += d_omega[e]
+            dir_rec.append(1)
+        else:
+            e = pick - n_ev
+            counts[i3[e]] -= 1
+            counts[i1[e]] += 1
+            counts[i2[e]] += 1
+            drift += int(gs[e]) * grid.n_sites
+            energy -= d_omega[e]
+            dir_rec.append(-1)
+        ev_rec.append(e)
+        drift_rec.append(drift)
+        energy_rec.append(energy)
+    return KmcTrace(event_indices=keep[np.array(ev_rec, dtype=np.int64)],
+                    directions=np.array(dir_rec, dtype=np.int64),
+                    drifts=np.array(drift_rec, dtype=np.int64),
+                    energies=np.array(energy_rec, dtype=np.float64),
+                    status=status,
+                    initial_drift=initial.drift,
+                    initial_energy=initial.total_energy,
+                    final_counts=counts)
+
+
+def assert_traces_identical(got, ref):
+    for name in ("event_indices", "directions", "drifts", "energies",
+                 "final_counts"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.status == ref.status
+    assert got.initial_drift == ref.initial_drift
+    assert got.initial_energy == ref.initial_energy
+
+
 def test_grid_labels():
     np.testing.assert_array_equal(ModeGrid(4, UNIT).labels, [-1, 0, 1, 2])
     np.testing.assert_array_equal(ModeGrid(5, UNIT).labels, [-2, -1, 0, 1, 2])
@@ -67,6 +159,13 @@ def test_grid_wrap():
     assert g.wrap(-4) == 4
     assert g.wrap(8) == 0
     assert g.wrap(3) == 3
+    sums = np.array([5, -5, 4, -4, 8, 3])
+    np.testing.assert_array_equal(g.wrap(sums), [-3, 3, 4, 4, 0, 3])
+    odd = ModeGrid(7, UNIT)
+    np.testing.assert_array_equal(
+        odd.wrap(np.arange(-7, 8)),
+        [0, 1, 2, 3, -3, -2, -1, 0, 1, 2, 3, -3, -2, -1, 0])
+    assert all(type(odd.wrap(n)) is int for n in range(-7, 8))
 
 
 def test_event_validation_and_classify():
@@ -124,6 +223,18 @@ def test_enumerate_matches_brute_force(n_sites, tol_factor):
     assert got == brute_force_events(g, tol)
 
 
+@pytest.mark.parametrize("n_sites", [2, 3, 5, 16, 17, 255, 256])
+@pytest.mark.parametrize("params", [UNIT, OscillatorParams(2.3, 0.7, 1.3)],
+                         ids=["unit", "scaled"])
+def test_enumerate_matches_reference_loop(n_sites, params):
+    """Same events, same order, bit-equal residuals; residuals never exceed
+    2*omega_max, so the largest tolerance admits every channel."""
+    g = ModeGrid(n_sites, params)
+    for tol_factor in (0.0, 0.05, 0.3, 1.0, 2.5):
+        tol = tol_factor * g.params.omega_max
+        assert enumerate_three_phonon(g, tol) == reference_enumerate(g, tol)
+
+
 def test_enumerate_ordering_is_deterministic():
     g = ModeGrid(16, UNIT)
     events = enumerate_three_phonon(g, 0.3 * g.params.omega_max)
@@ -176,6 +287,9 @@ def test_biased_population_round_robin():
     assert pop.drift == 3 + 6 + 6 + 8
     custom = biased_population(g, 5, labels=[2, 3])
     assert custom.occupation(2) == 3 and custom.occupation(3) == 2
+    assert biased_population(g, 0).counts.sum() == 0
+    with pytest.raises(DiscretumError):
+        biased_population(g, -5)
 
 
 def test_kmc_zero_events():
@@ -259,6 +373,34 @@ def test_kmc_ledger_invariants():
     assert int(np.sum(tr.final_counts)) == 100 - int(np.sum(tr.directions))
 
 
+# (n_sites, tol_factor, dense phonon count); each grid has n1 == n2 channels
+# and umklapp channels, so both modes and the doubled-count rule are covered.
+KMC_SHAPES = [(8, 10.0, 60), (16, 0.3, 200), (64, 0.4, 600),
+              (256, 0.05, 2000)]
+
+
+@pytest.mark.parametrize("mode", ["all", "normal_only"])
+@pytest.mark.parametrize("n_sites,tol_factor,dense", KMC_SHAPES)
+def test_kmc_matches_full_rescan(n_sites, tol_factor, dense, mode):
+    """The cached candidate set draws the same pairs as a rescan per event."""
+    g = ModeGrid(n_sites, UNIT)
+    events = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
+    assert any(e.n1 == e.n2 for e in events)
+    assert any(e.g != 0 for e in events)
+    # (gas, events, seeds); the empty gas, last, stops before its first event.
+    gases = [(biased_population(g, dense), 1000, range(6)),
+             (biased_population(g, n_sites // 2), 300, range(6)),
+             (biased_population(g, 3), 100, range(3)),
+             (PhononPopulation.from_counts(g, {1: 1}), 10, range(1)),
+             (biased_population(g, 0), 10, range(1))]
+    for pop, n_events, seeds in gases:
+        for seed in seeds:
+            ref = reference_kmc_run(g, pop, events, n_events, seed, mode)
+            assert_traces_identical(
+                kmc_run(g, pop, events, n_events, seed, mode), ref)
+    assert ref.status == "no_applicable_event"
+
+
 def test_kmc_normal_only_conserves_drift():
     g = ModeGrid(32, UNIT)
     events = enumerate_three_phonon(g, 0.5 * g.params.omega_max)
@@ -273,3 +415,44 @@ def test_kmc_normal_only_conserves_drift():
 
 def test_default_tol_factor_value():
     assert DEFAULT_TOL_FACTOR == 0.05
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_sites=st.integers(4, 40),
+       tol_factor=st.floats(0.05, 2.5),
+       phonons=st.integers(0, 300),
+       n_events=st.integers(0, 400),
+       seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["all", "normal_only"]))
+def test_kmc_ledger_property(n_sites, tol_factor, phonons, n_events, seed,
+                             mode):
+    """Replaying the trace reproduces every drift, energy and count; every
+    event is reversible, so a run that stops early applied nothing."""
+    g = ModeGrid(n_sites, UNIT)
+    events = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
+    assume(any(mode == "all" or e.g == 0 for e in events))
+    pop = biased_population(g, phonons)
+    tr = kmc_run(g, pop, events, n_events, seed, mode)
+    if tr.status == "completed":
+        assert tr.n_applied == n_events
+    else:
+        assert tr.status == "no_applicable_event" and tr.n_applied == 0
+    omega = g.omega(g.labels)
+    base = int(g.labels[0])
+    counts = pop.counts.copy()
+    drift, energy = pop.drift, pop.total_energy
+    for s in range(tr.n_applied):
+        e = events[tr.event_indices[s]]
+        d = int(tr.directions[s])
+        assert mode == "all" or e.g == 0
+        for n, step in ((e.n1, -d), (e.n2, -d), (e.n3, d)):
+            counts[n - base] += step
+        assert (counts >= 0).all()
+        drift -= d * e.g * n_sites
+        de = d * (omega[e.n3 - base] - omega[e.n1 - base]
+                  - omega[e.n2 - base])
+        assert abs(abs(de) - e.delta_omega) <= 1e-12
+        energy += de
+        assert tr.drifts[s] == drift == int(np.dot(counts, g.labels))
+        assert abs(tr.energies[s] - energy) <= 1e-9 * (1.0 + abs(energy))
+    np.testing.assert_array_equal(tr.final_counts, counts)
