@@ -22,8 +22,8 @@ from .quantum_bridge import (NcExpression, OperatorMatrix, RelationInputs,
                              oscillator_hamiltonian, oscillator_spectrum,
                              planck_from_lattice, real_form_defect,
                              reduce_mode_hamiltonian)
-from .scattering import (DEFAULT_TOL_FACTOR, KmcTrace, PhononPopulation,
-                         ScatteringEvent, biased_population, classify,
+from .scattering import (DEFAULT_TOL_FACTOR, ChannelTable, KmcTrace,
+                         PhononPopulation, biased_population,
                          enumerate_three_phonon, kmc_run)
 
 __version__ = "0.1.0"

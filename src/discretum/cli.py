@@ -49,8 +49,7 @@ def emit_json(obj):
 def emit_csv(header, rows):
     """CSV text with a header row; cells formatted per type."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if c != "" else "" for c in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -112,28 +111,29 @@ def _grid(args):
 
 def _cmd_processes(args):
     grid = _grid(args)
-    events = scattering.enumerate_three_phonon(
+    table = scattering.enumerate_three_phonon(
         grid, args.tol * grid.params.omega_max)
-    rows = [(e.n1, e.n2, e.n3, e.g, e.delta_omega, scattering.classify(e))
-            for e in events]
+    kind = np.where(table.g != 0, "umklapp", "normal")
+    rows = zip(table.n1.tolist(), table.n2.tolist(), table.n3.tolist(),
+               table.g.tolist(), table.delta_omega.tolist(), kind.tolist())
     return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"), rows)
 
 
 def _cmd_thermalize(args):
     grid = _grid(args)
-    events = scattering.enumerate_three_phonon(
+    table = scattering.enumerate_three_phonon(
         grid, args.tol * grid.params.omega_max)
     mode = {"all": "all", "normal": "normal_only"}[args.mode]
     initial = scattering.biased_population(grid, args.phonons)
-    trace = scattering.kmc_run(grid, initial, events, args.events, args.seed,
+    trace = scattering.kmc_run(grid, initial, table, args.events, args.seed,
                                mode)
     if trace.status != "completed":
         print("warning: KMC stopped after %d of %d events: %s"
               % (trace.n_applied, args.events, trace.status), file=sys.stderr)
     rows = [(0, trace.initial_drift, trace.initial_energy, "")]
-    for s in range(trace.n_applied):
-        rows.append((s + 1, int(trace.drifts[s]), float(trace.energies[s]),
-                     events[trace.event_indices[s]].g))
+    rows.extend(zip(range(1, trace.n_applied + 1), trace.drifts.tolist(),
+                    trace.energies.tolist(),
+                    table.g[trace.event_indices].tolist()))
     return emit_csv(("step", "drift", "energy", "event_g"), rows)
 
 
@@ -148,11 +148,8 @@ def _cmd_simulate(args):
     for message in dict.fromkeys(str(w.message) for w in caught):
         print("warning: %s" % message, file=sys.stderr)
     header = ["t", "E_total"] + ["E_mode_%d" % j for j in range(config.n_sites)]
-    rows = [
-        (float(result.times[i]), float(result.total_energy[i]),
-         *(float(x) for x in result.mode_energies[i]))
-        for i in range(result.times.size)
-    ]
+    rows = np.column_stack([result.times, result.total_energy,
+                            result.mode_energies]).tolist()
     return emit_csv(header, rows)
 
 
@@ -163,9 +160,8 @@ def _cmd_dispersion(args):
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
     edge = math.pi / args.a
     qs = np.linspace(-edge, edge, args.q_samples)
-    omegas = chain_dispersion(params, qs)
-    return emit_csv(("q", "omega"),
-                    [(float(q), float(w)) for q, w in zip(qs, omegas)])
+    return emit_csv(("q", "omega"), np.column_stack(
+        [qs, chain_dispersion(params, qs)]).tolist())
 
 
 def _cmd_cutoff(args):

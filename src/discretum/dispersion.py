@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiscretumError, SubRestMassError
+from .errors import DiscretumError, SubRestMassError, require_finite
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class OscillatorParams:
     a: float
 
     def __post_init__(self):
+        for name in ("kappa", "m", "a"):
+            require_finite(name, getattr(self, name))
         if not (self.kappa > 0 and self.m > 0 and self.a > 0):
             raise DiscretumError(
                 "oscillator parameters must be positive, got kappa=%r m=%r a=%r"

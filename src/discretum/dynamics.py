@@ -27,7 +27,7 @@ import numpy as np
 
 from .dispersion import (ModeGrid, OscillatorParams, chain_dispersion,
                          mode_wave_number)
-from .errors import DiscretumError, StabilityWarning
+from .errors import DiscretumError, StabilityWarning, require_finite
 
 # Forest-Ruth composition coefficients (4th order, 3 force evaluations).
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -256,12 +256,6 @@ def _require_int(name, value, minimum=None):
         raise DiscretumError("%s must be >= %d, got %d" % (name, minimum, value))
 
 
-def _require_finite(name, value):
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise DiscretumError("%s must be a finite number, got %r" % (name, value))
-
-
 @dataclass(frozen=True)
 class InitSpec:
     """Initial-condition block of a simulation config."""
@@ -279,7 +273,7 @@ class InitSpec:
                 "init type must be plane_wave or random, got %r" % self.type)
         _require_int("mode_index", self.mode_index)
         _require_int("seed", self.seed, minimum=0)
-        _require_finite("amplitude", self.amplitude)
+        require_finite("amplitude", self.amplitude)
 
     @classmethod
     def from_dict(cls, d):
@@ -311,9 +305,9 @@ class SimConfig:
         _require_int("steps", self.steps, minimum=0)
         _require_int("stride", self.stride, minimum=1)
         for name in ("kappa", "m", "a"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if self.dt is not None:
-            _require_finite("dt", self.dt)
+            require_finite("dt", self.dt)
             if self.dt <= 0:
                 raise DiscretumError("dt must be > 0, got %r" % self.dt)
 

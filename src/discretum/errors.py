@@ -1,4 +1,7 @@
-"""Exception and warning types shared across discretum."""
+"""Exception and warning types shared across discretum, plus require_finite."""
+
+import math
+import numbers
 
 
 class DiscretumError(ValueError):
@@ -15,3 +18,10 @@ class SubRestMassError(DiscretumError):
 
 class StabilityWarning(UserWarning):
     """Emitted when an integrator step size is at or beyond its stable range."""
+
+
+def require_finite(name, value):
+    """Raise DiscretumError unless `value` is a finite real number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise DiscretumError("%s must be a finite number, got %r" % (name, value))

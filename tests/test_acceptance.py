@@ -15,6 +15,7 @@ from conftest import random_basis_matrix, run_cli, zero_crossing_frequency
 from discretum import (
     CONSTANTS,
     PROTON_MASS,
+    ChannelTable,
     LatticeBasis,
     ModeGrid,
     OscillatorParams,
@@ -204,8 +205,9 @@ def test_07_scattering_enumeration_oracle():
                                   - float(grid.omega(n3)))
                         if res <= tol:
                             brute.add((n1, n2, n3, (n1 + n2 - n3) // n_sites))
-            got = {(e.n1, e.n2, e.n3, e.g)
-                   for e in enumerate_three_phonon(grid, tol)}
+            table = enumerate_three_phonon(grid, tol)
+            got = set(zip(table.n1.tolist(), table.n2.tolist(),
+                          table.n3.tolist(), table.g.tolist()))
             assert got == brute, (n_sites, tol_factor)
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -220,31 +222,34 @@ def test_08_momentum_ledger_and_umklapp_damping():
     p = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
     grid = ModeGrid(32, p)
     tol = 0.5 * grid.params.omega_max
-    events = [e for e in enumerate_three_phonon(grid, tol)
-              if 16 not in (abs(e.n1), abs(e.n2), abs(e.n3))]
-    assert any(e.g != 0 for e in events)
+    full = enumerate_three_phonon(grid, tol)
+    edge = (np.abs(full.n1) == 16) | (np.abs(full.n2) == 16) | \
+        (np.abs(full.n3) == 16)
+    table = ChannelTable(*(getattr(full, c)[~edge] for c in
+                           ("n1", "n2", "n3", "g", "delta_omega")))
+    assert (table.g != 0).any()
     initial = PhononPopulation.from_counts(grid, {15: 100})
     d0 = initial.drift
     assert d0 == 1500
 
     # per-event ledger identity on one umklapp-enabled trace
-    tr = kmc_run(grid, initial, events, 2000, seed=0)
+    tr = kmc_run(grid, initial, table, 2000, seed=0)
     prev = tr.initial_drift
     ledger_ok = True
     for s in range(tr.n_applied):
-        expected = -int(tr.directions[s]) * events[tr.event_indices[s]].g * 32
+        expected = -int(tr.directions[s]) * table.g[tr.event_indices[s]] * 32
         ledger_ok = ledger_ok and (tr.drifts[s] - prev == expected)
         prev = tr.drifts[s]
 
     # normal-only runs conserve the drift exactly
-    tr_n = kmc_run(grid, initial, events, 2000, seed=0, mode="normal_only")
+    tr_n = kmc_run(grid, initial, table, 2000, seed=0, mode="normal_only")
     normal_ok = bool(np.all(tr_n.drifts == d0))
 
     # 32-seed ensemble: mean drift decays under the 10% line within 1e4 events
     n_events = 10_000
     traces = np.empty((32, n_events))
     for seed in range(32):
-        t = kmc_run(grid, initial, events, n_events, seed=seed)
+        t = kmc_run(grid, initial, table, n_events, seed=seed)
         assert t.n_applied == n_events
         traces[seed] = t.drifts
     mean_abs = np.abs(traces.mean(axis=0))

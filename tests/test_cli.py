@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -127,12 +128,12 @@ def test_processes_table_matches_library():
     assert status == 0 and err == ""
     header, rows = parse_csv(out)
     assert header == ["n1", "n2", "n3", "g", "delta_omega", "kind"]
-    events = enumerate_three_phonon(ModeGrid(8, UNIT), 0.2 * 2.0)
-    assert len(rows) == len(events) == 4
-    for row, e in zip(rows, events):
+    table = enumerate_three_phonon(ModeGrid(8, UNIT), 0.2 * 2.0)
+    assert len(rows) == len(table) == 4
+    for i, row in enumerate(rows):
         assert [int(row[0]), int(row[1]), int(row[2]), int(row[3])] == \
-            [e.n1, e.n2, e.n3, e.g]
-        assert float(row[4]) == e.delta_omega
+            [table.n1[i], table.n2[i], table.n3[i], table.g[i]]
+        assert float(row[4]) == table.delta_omega[i]
         assert row[5] == "normal"
 
 
@@ -140,6 +141,52 @@ def test_processes_empty_table():
     status, out, _ = run_cli("processes", "--n", "4", "--tol", "0.2")
     assert status == 0
     assert out == "n1,n2,n3,g,delta_omega,kind\n"
+
+
+@pytest.mark.parametrize("command", ["processes", "thermalize"])
+def test_non_finite_tolerance_exits_2(command):
+    status, out, err = run_cli(command, "--tol", "nan")
+    assert status == 2 and out == ""
+    assert err.startswith("discretum %s:" % command) and "tol" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (("dispersion", "--a", "inf"), "a", "inf"),
+    (("dispersion", "--kappa", "nan"), "kappa", "nan"),
+    (("processes", "--n", "3", "--kappa", "inf"), "kappa", "inf"),
+    (("thermalize", "--m=-inf"), "m", "-inf"),
+], ids=["dispersion-a", "dispersion-kappa", "processes-kappa",
+        "thermalize-m"])
+def test_non_finite_chain_parameter_exits_2(argv, name, value):
+    status, out, err = run_cli(*argv)
+    assert status == 2 and out == ""
+    assert err == "discretum %s: %s must be a finite number, got %s\n" % (
+        argv[0], name, value)
+
+
+# sha256 of stdout for fixed arguments and seeds.  Acceptance 12 only
+# repeats a run within one version; these digests catch any change of bytes
+# from one version of the code to the next.
+GOLDEN_STDOUT = [
+    (("processes", "--n", "512", "--tol", "0.05"),
+     "f8d66ed53ce891a890f28abc9d5343498db92e5af69c112e7b01aa38c3e3bf5a"),
+    (("thermalize", "--n", "256", "--phonons", "2000", "--events", "1000",
+      "--seed", "7", "--mode", "all"),
+     "04a1e671811bdfefd8d4aad269e7ebc40c54385fc252c1b63632b76286b5df4c"),
+    (("thermalize", "--n", "256", "--phonons", "2000", "--events", "1000",
+      "--seed", "7", "--mode", "normal"),
+     "8a1994f974db1403e0e2e9bc1d24b95a8378e86a17e253056daa67ff4b3c505f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=["processes", "thermalize-all",
+                              "thermalize-normal"])
+def test_golden_stdout_digest(argv, digest):
+    status, out, err = run_cli(*argv)
+    assert status == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -------------------------------------------------------------- thermalize
@@ -168,16 +215,16 @@ def test_thermalize_matches_library_run(cli_mode, lib_mode):
     assert status == 0
     _, rows = parse_csv(out)
     grid = ModeGrid(16, UNIT)
-    events = enumerate_three_phonon(grid, 0.3 * grid.params.omega_max)
-    assert events[0].g != 0  # normal-only indices must skip this channel
-    trace = kmc_run(grid, biased_population(grid, 10), events, 40, 9,
+    table = enumerate_three_phonon(grid, 0.3 * grid.params.omega_max)
+    assert table.g[0] != 0  # normal-only indices must skip this channel
+    trace = kmc_run(grid, biased_population(grid, 10), table, 40, 9,
                     lib_mode)
     assert len(rows) == trace.n_applied + 1
     assert int(rows[0][1]) == trace.initial_drift
     assert float(rows[0][2]) == trace.initial_energy
     drift = trace.initial_drift
     for s in range(trace.n_applied):
-        g = events[trace.event_indices[s]].g
+        g = table.g[trace.event_indices[s]]
         # the indexed channel must be the one that moved the drift
         assert trace.drifts[s] - drift == -trace.directions[s] * g * 16
         drift = trace.drifts[s]

@@ -19,6 +19,7 @@ from discretum import (
     oscillator_frequency,
     sound_speed,
 )
+from discretum.errors import require_finite
 
 
 def test_constants_values():
@@ -51,6 +52,22 @@ def test_params_validation():
                 {"kappa": 1.0, "m": 1.0, "a": 0.0}):
         with pytest.raises(DiscretumError):
             OscillatorParams(**bad)
+
+
+@pytest.mark.parametrize("name", ["kappa", "m", "a"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, "1"])
+def test_params_reject_non_finite(name, value):
+    good = {"kappa": 1.0, "m": 1.0, "a": 1.0}
+    with pytest.raises(DiscretumError, match="%s must be a finite number" % name):
+        OscillatorParams(**{**good, name: value})
+
+
+def test_require_finite():
+    for value in (0, -2, 1.5, np.float64(3.0), np.int64(4)):
+        require_finite("x", value)
+    for value in (math.nan, math.inf, -math.inf, False, None, "1.0", [1.0]):
+        with pytest.raises(DiscretumError, match="^x must be a finite number"):
+            require_finite("x", value)
 
 
 def test_chain_dispersion_special_points():

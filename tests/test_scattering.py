@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from discretum import (
     DEFAULT_TOL_FACTOR,
+    ChannelTable,
     DiscretumError,
     KmcTrace,
     ModeGrid,
     OscillatorParams,
     PhononPopulation,
-    ScatteringEvent,
     biased_population,
-    classify,
     enumerate_three_phonon,
     kmc_run,
 )
+
+COLUMNS = ("n1", "n2", "n3", "g", "delta_omega")
 
 UNIT = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
 
@@ -45,7 +46,7 @@ def reference_enumerate(grid, tol_omega):
     """Oracle: the scalar double loop over n1 <= n2, one omega call a label."""
     labels = [int(n) for n in grid.labels if n != 0]
     omega = {n: float(grid.omega(n)) for n in labels}
-    events = []
+    columns = ([], [], [], [], [])
     for i, n1 in enumerate(labels):
         for n2 in labels[i:]:
             n3 = (n1 + n2) % grid.n_sites
@@ -56,25 +57,39 @@ def reference_enumerate(grid, tol_omega):
             g = (n1 + n2 - n3) // grid.n_sites
             residual = abs(omega[n1] + omega[n2] - omega[n3])
             if residual <= tol_omega:
-                events.append(ScatteringEvent(n1, n2, n3, g, residual))
-    return events
+                for column, value in zip(columns, (n1, n2, n3, g, residual)):
+                    column.append(value)
+    return ChannelTable(*columns)
 
 
-def reference_kmc_run(grid, initial, events, n_events, seed, mode="all"):
+def channel_rows(table):
+    """The table as a list of (n1, n2, n3, g, delta_omega) tuples."""
+    return list(zip(*(getattr(table, c).tolist() for c in COLUMNS)))
+
+
+def assert_tables_identical(got, ref):
+    assert isinstance(got, ChannelTable)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def reference_kmc_run(grid, initial, table, n_events, seed, mode="all"):
     """Oracle: rescan every (channel, direction) pair before every event."""
-    keep = (np.arange(len(events)) if mode == "all"
-            else np.flatnonzero([e.g == 0 for e in events]))
-    events = [events[i] for i in keep]
+    rows = channel_rows(table)
+    keep = np.array([i for i, r in enumerate(rows)
+                     if mode == "all" or r[3] == 0], dtype=np.int64)
+    rows = [rows[i] for i in keep]
     base = int(grid.labels[0])
-    i1 = np.array([e.n1 - base for e in events])
-    i2 = np.array([e.n2 - base for e in events])
-    i3 = np.array([e.n3 - base for e in events])
-    gs = np.array([e.g for e in events])
-    d_omega = np.array([float(grid.omega(e.n3))
-                        - float(grid.omega(e.n1)) - float(grid.omega(e.n2))
-                        for e in events])
+    i1 = np.array([r[0] - base for r in rows])
+    i2 = np.array([r[1] - base for r in rows])
+    i3 = np.array([r[2] - base for r in rows])
+    gs = np.array([r[3] for r in rows])
+    d_omega = np.array([float(grid.omega(n3)) - float(grid.omega(n1))
+                        - float(grid.omega(n2)) for n1, n2, n3, _, _ in rows])
     same = i1 == i2
-    n_ev = len(events)
+    n_ev = len(rows)
     counts = initial.counts.copy()
     drift = initial.drift
     energy = initial.total_energy
@@ -168,50 +183,76 @@ def test_grid_wrap():
     assert all(type(odd.wrap(n)) is int for n in range(-7, 8))
 
 
-def test_event_validation_and_classify():
-    ev = ScatteringEvent(1, 2, 3, 0, 0.1)
-    assert classify(ev) == "normal"
-    assert classify(ScatteringEvent(3, 3, -2, 1, 0.0)) == "umklapp"
-    assert classify(ScatteringEvent(-3, -3, 2, -1, 0.0)) == "umklapp"
+def test_channel_table_validation_and_kind():
+    table = ChannelTable([1, 3, -3], [2, 3, -3], [3, -2, 2], [0, 1, -1],
+                         [0.1, 0.0, 0.0])
+    assert len(table) == 3
+    assert [c.dtype for c in (table.n1, table.n2, table.n3, table.g)] == \
+        [np.int64] * 4
+    assert table.delta_omega.dtype == np.float64
+    # the processes kind column: g != 0 is umklapp
+    np.testing.assert_array_equal(table.g != 0, [False, True, True])
+    with pytest.raises(ValueError):
+        table.g[0] = 1  # columns are read-only
+    assert len(ChannelTable([], [], [], [], [])) == 0
     with pytest.raises(DiscretumError):
-        ScatteringEvent(1, 2, 3, 0, -0.5)
+        ChannelTable([1], [2], [3], [0], [-0.5])
+    with pytest.raises(DiscretumError):
+        ChannelTable([1, 1], [2], [3], [0], [0.1])  # unequal lengths
+    with pytest.raises(DiscretumError):
+        ChannelTable([[1]], [[2]], [[3]], [[0]], [[0.1]])  # not 1-D
+
+
+def test_channel_table_copies_its_input():
+    n1 = np.array([1])
+    table = ChannelTable(n1, [2], [3], [0], [0.1])
+    n1[0] = 7
+    assert table.n1.tolist() == [1] and n1.flags.writeable
 
 
 def test_enumerate_small_grids_empty():
     g = ModeGrid(4, UNIT)
+    empty = ChannelTable([], [], [], [], [])
     for tol_factor in (0.0, 0.1, 0.2):
-        assert enumerate_three_phonon(g, tol_factor * g.params.omega_max) == []
+        assert_tables_identical(
+            enumerate_three_phonon(g, tol_factor * g.params.omega_max), empty)
     with pytest.raises(DiscretumError):
         enumerate_three_phonon(g, -1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-300])
+def test_enumerate_rejects_bad_tolerance(tol):
+    with pytest.raises(DiscretumError, match="tol"):
+        enumerate_three_phonon(ModeGrid(8, UNIT), tol)
+
+
 def test_enumerate_n8_frozen_event_table():
     g = ModeGrid(8, UNIT)
-    events = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
-    got = [(e.n1, e.n2, e.n3, e.g) for e in events]
-    assert got == [(-2, -1, -3, 0), (-1, -1, -2, 0), (1, 1, 2, 0), (1, 2, 3, 0)]
+    table = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
+    np.testing.assert_array_equal(table.n1, [-2, -1, 1, 1])
+    np.testing.assert_array_equal(table.n2, [-1, -1, 1, 2])
+    np.testing.assert_array_equal(table.n3, [-3, -2, 2, 3])
+    np.testing.assert_array_equal(table.g, [0, 0, 0, 0])
     s = [2.0 * math.sin(math.pi * k / 8) for k in range(4)]
-    np.testing.assert_allclose(events[0].delta_omega, s[2] + s[1] - s[3], rtol=1e-12)
-    np.testing.assert_allclose(events[1].delta_omega, 2 * s[1] - s[2], rtol=1e-12)
-    np.testing.assert_allclose(events[1].delta_omega, 0.1165201670872642, rtol=1e-12)
-    np.testing.assert_allclose(events[0].delta_omega, 0.33182136208070112, rtol=1e-12)
-    assert all(classify(e) == "normal" for e in events)
+    np.testing.assert_allclose(table.delta_omega[0], s[2] + s[1] - s[3], rtol=1e-12)
+    np.testing.assert_allclose(table.delta_omega[1], 2 * s[1] - s[2], rtol=1e-12)
+    np.testing.assert_allclose(table.delta_omega[1], 0.1165201670872642, rtol=1e-12)
+    np.testing.assert_allclose(table.delta_omega[0], 0.33182136208070112, rtol=1e-12)
+    assert not (table.g != 0).any()
 
 
 def test_enumerate_umklapp_channel_arithmetic():
     """With a wide-open tolerance the (3, 3) channel flips over the zone edge."""
     g = ModeGrid(8, UNIT)
-    events = enumerate_three_phonon(g, 10.0 * g.params.omega_max)
-    table = {(e.n1, e.n2): e for e in events}
-    e = table[(3, 3)]
-    assert (e.n3, e.g) == (-2, 1)
-    assert classify(e) == "umklapp"
-    e2 = table[(-3, -3)]
-    assert (e2.n3, e2.g) == (2, -1)
+    table = enumerate_three_phonon(g, 10.0 * g.params.omega_max)
+    by_pair = {(r[0], r[1]): r for r in channel_rows(table)}
+    assert by_pair[(3, 3)][2:4] == (-2, 1)
+    assert by_pair[(-3, -3)][2:4] == (2, -1)
     # the zero mode never appears in any slot
-    assert all(0 not in (e.n1, e.n2, e.n3) for e in events)
+    assert not ((table.n1 == 0) | (table.n2 == 0) | (table.n3 == 0)).any()
     # conservation identity holds for every channel
-    assert all(e.n1 + e.n2 - e.n3 == e.g * g.n_sites for e in events)
+    np.testing.assert_array_equal(table.n1 + table.n2 - table.n3,
+                                  table.g * g.n_sites)
 
 
 @pytest.mark.parametrize("n_sites", [4, 5, 8, 16])
@@ -219,7 +260,7 @@ def test_enumerate_umklapp_channel_arithmetic():
 def test_enumerate_matches_brute_force(n_sites, tol_factor):
     g = ModeGrid(n_sites, UNIT)
     tol = tol_factor * g.params.omega_max
-    got = {(e.n1, e.n2, e.n3, e.g) for e in enumerate_three_phonon(g, tol)}
+    got = {r[:4] for r in channel_rows(enumerate_three_phonon(g, tol))}
     assert got == brute_force_events(g, tol)
 
 
@@ -227,20 +268,22 @@ def test_enumerate_matches_brute_force(n_sites, tol_factor):
 @pytest.mark.parametrize("params", [UNIT, OscillatorParams(2.3, 0.7, 1.3)],
                          ids=["unit", "scaled"])
 def test_enumerate_matches_reference_loop(n_sites, params):
-    """Same events, same order, bit-equal residuals; residuals never exceed
+    """Same channels, same order, bit-equal residuals; residuals never exceed
     2*omega_max, so the largest tolerance admits every channel."""
     g = ModeGrid(n_sites, params)
     for tol_factor in (0.0, 0.05, 0.3, 1.0, 2.5):
         tol = tol_factor * g.params.omega_max
-        assert enumerate_three_phonon(g, tol) == reference_enumerate(g, tol)
+        assert_tables_identical(enumerate_three_phonon(g, tol),
+                                reference_enumerate(g, tol))
 
 
 def test_enumerate_ordering_is_deterministic():
     g = ModeGrid(16, UNIT)
-    events = enumerate_three_phonon(g, 0.3 * g.params.omega_max)
-    keys = [(e.n1, e.n2) for e in events]
+    table = enumerate_three_phonon(g, 0.3 * g.params.omega_max)
+    keys = list(zip(table.n1.tolist(), table.n2.tolist()))
     assert keys == sorted(keys)
-    assert events == enumerate_three_phonon(g, 0.3 * g.params.omega_max)
+    assert_tables_identical(
+        table, enumerate_three_phonon(g, 0.3 * g.params.omega_max))
 
 
 def test_population_construction():
@@ -288,15 +331,44 @@ def test_biased_population_round_robin():
     custom = biased_population(g, 5, labels=[2, 3])
     assert custom.occupation(2) == 3 and custom.occupation(3) == 2
     assert biased_population(g, 0).counts.sum() == 0
+    assert biased_population(g, 0, labels=[]).counts.sum() == 0
     with pytest.raises(DiscretumError):
         biased_population(g, -5)
+    with pytest.raises(DiscretumError):
+        biased_population(g, 3, labels=[])
+
+
+def dealt_one_at_a_time(total, labels):
+    """Oracle: deal phonons one by one round-robin over `labels`."""
+    counts = {}
+    for i in range(total):
+        n = labels[i % len(labels)]
+        counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("total,labels", [
+    (0, [1]), (1, [1, 2, 3]), (10, [1, 2, 3, 4]), (7, [2, 2, 3]),
+    (11, [3, -1, 3, 4, -1]), (5, [4]), (1000, [1, 2, 3]),
+    (12345, [-3, -2, -1, 1, 2, 3, 4]), (9, [1, 1, 1, 1])])
+def test_biased_population_closed_form_equals_loop(total, labels):
+    g = ModeGrid(8, UNIT)
+    expected = PhononPopulation.from_counts(
+        g, dealt_one_at_a_time(total, labels))
+    got = biased_population(g, total, labels=labels)
+    np.testing.assert_array_equal(got.counts, expected.counts)
+    default = biased_population(g, total)
+    np.testing.assert_array_equal(
+        default.counts,
+        PhononPopulation.from_counts(
+            g, dealt_one_at_a_time(total, [1, 2, 3, 4])).counts)
 
 
 def test_kmc_zero_events():
     g = ModeGrid(8, UNIT)
-    events = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
+    table = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
     pop = biased_population(g, 20)
-    tr = kmc_run(g, pop, events, 0, seed=0)
+    tr = kmc_run(g, pop, table, 0, seed=0)
     assert tr.n_applied == 0
     assert tr.status == "completed"
     assert tr.initial_drift == pop.drift
@@ -307,22 +379,22 @@ def test_kmc_argument_validation():
     g = ModeGrid(8, UNIT)
     pop = biased_population(g, 10)
     with pytest.raises(DiscretumError):
-        kmc_run(g, pop, [], 10, seed=0)
+        kmc_run(g, pop, ChannelTable([], [], [], [], []), 10, seed=0)
     with pytest.raises(DiscretumError):
-        kmc_run(g, pop, [ScatteringEvent(3, 3, -2, 1, 0.0)], 10, seed=0,
+        kmc_run(g, pop, ChannelTable([3], [3], [-2], [1], [0.0]), 10, seed=0,
                 mode="normal_only")
     with pytest.raises(DiscretumError):
-        kmc_run(g, pop, [ScatteringEvent(1, 1, 2, 0, 0.1)], 10, seed=0,
+        kmc_run(g, pop, ChannelTable([1], [1], [2], [0], [0.1]), 10, seed=0,
                 mode="bogus")
     with pytest.raises(DiscretumError):
-        kmc_run(g, pop, [ScatteringEvent(1, 1, 2, 0, 0.1)], -1, seed=0)
+        kmc_run(g, pop, ChannelTable([1], [1], [2], [0], [0.1]), -1, seed=0)
 
 
 def test_kmc_no_applicable_event_terminates():
     g = ModeGrid(8, UNIT)
-    events = enumerate_three_phonon(g, 0.2 * g.params.omega_max)  # touch only |n| <= 3
+    table = enumerate_three_phonon(g, 0.2 * g.params.omega_max)  # touch only |n| <= 3
     pop = PhononPopulation.from_counts(g, {4: 5})
-    tr = kmc_run(g, pop, events, 100, seed=1)
+    tr = kmc_run(g, pop, table, 100, seed=1)
     assert tr.status == "no_applicable_event"
     assert tr.n_applied == 0
     np.testing.assert_array_equal(tr.final_counts, pop.counts)
@@ -330,15 +402,15 @@ def test_kmc_no_applicable_event_terminates():
 
 def test_kmc_determinism():
     g = ModeGrid(16, UNIT)
-    events = enumerate_three_phonon(g, 0.3 * g.params.omega_max)
+    table = enumerate_three_phonon(g, 0.3 * g.params.omega_max)
     pop = biased_population(g, 40)
-    a = kmc_run(g, pop, events, 500, seed=7)
-    b = kmc_run(g, pop, events, 500, seed=7)
+    a = kmc_run(g, pop, table, 500, seed=7)
+    b = kmc_run(g, pop, table, 500, seed=7)
     np.testing.assert_array_equal(a.event_indices, b.event_indices)
     np.testing.assert_array_equal(a.directions, b.directions)
     np.testing.assert_array_equal(a.drifts, b.drifts)
     np.testing.assert_array_equal(a.energies, b.energies)
-    c = kmc_run(g, pop, events, 500, seed=8)
+    c = kmc_run(g, pop, table, 500, seed=8)
     assert not np.array_equal(a.event_indices, c.event_indices)
 
 
@@ -348,22 +420,23 @@ def test_kmc_ledger_invariants():
     p = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
     g = ModeGrid(32, p)
     tol = 0.5 * g.params.omega_max
-    events = enumerate_three_phonon(g, tol)
-    assert any(e.g != 0 for e in events)
+    table = enumerate_three_phonon(g, tol)
+    assert (table.g != 0).any()
     pop = biased_population(g, 100)
-    tr = kmc_run(g, pop, events, 2000, seed=3)
+    tr = kmc_run(g, pop, table, 2000, seed=3)
     assert isinstance(tr, KmcTrace)
     assert tr.n_applied == 2000
 
     prev_drift = tr.initial_drift
     prev_energy = tr.initial_energy
     for s in range(tr.n_applied):
-        e = events[tr.event_indices[s]]
+        e = tr.event_indices[s]
         d = tr.directions[s]
-        assert tr.drifts[s] - prev_drift == -d * e.g * g.n_sites
+        assert tr.drifts[s] - prev_drift == -d * table.g[e] * g.n_sites
         de = tr.energies[s] - prev_energy
         assert abs(de) <= tol + 1e-9
-        np.testing.assert_allclose(abs(de), e.delta_omega, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(abs(de), table.delta_omega[e], rtol=0,
+                                   atol=1e-9)
         prev_drift = tr.drifts[s]
         prev_energy = tr.energies[s]
 
@@ -384,9 +457,9 @@ KMC_SHAPES = [(8, 10.0, 60), (16, 0.3, 200), (64, 0.4, 600),
 def test_kmc_matches_full_rescan(n_sites, tol_factor, dense, mode):
     """The cached candidate set draws the same pairs as a rescan per event."""
     g = ModeGrid(n_sites, UNIT)
-    events = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
-    assert any(e.n1 == e.n2 for e in events)
-    assert any(e.g != 0 for e in events)
+    table = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
+    assert (table.n1 == table.n2).any()
+    assert (table.g != 0).any()
     # (gas, events, seeds); the empty gas, last, stops before its first event.
     gases = [(biased_population(g, dense), 1000, range(6)),
              (biased_population(g, n_sites // 2), 300, range(6)),
@@ -395,21 +468,21 @@ def test_kmc_matches_full_rescan(n_sites, tol_factor, dense, mode):
              (biased_population(g, 0), 10, range(1))]
     for pop, n_events, seeds in gases:
         for seed in seeds:
-            ref = reference_kmc_run(g, pop, events, n_events, seed, mode)
+            ref = reference_kmc_run(g, pop, table, n_events, seed, mode)
             assert_traces_identical(
-                kmc_run(g, pop, events, n_events, seed, mode), ref)
+                kmc_run(g, pop, table, n_events, seed, mode), ref)
     assert ref.status == "no_applicable_event"
 
 
 def test_kmc_normal_only_conserves_drift():
     g = ModeGrid(32, UNIT)
-    events = enumerate_three_phonon(g, 0.5 * g.params.omega_max)
+    table = enumerate_three_phonon(g, 0.5 * g.params.omega_max)
     pop = biased_population(g, 100)
-    tr = kmc_run(g, pop, events, 2000, seed=5, mode="normal_only")
+    tr = kmc_run(g, pop, table, 2000, seed=5, mode="normal_only")
     assert tr.n_applied == 2000
     assert np.all(tr.drifts == tr.initial_drift)
     # umklapp runs from the same start do change the drift
-    tr2 = kmc_run(g, pop, events, 2000, seed=5, mode="all")
+    tr2 = kmc_run(g, pop, table, 2000, seed=5, mode="all")
     assert np.any(tr2.drifts != tr2.initial_drift)
 
 
@@ -429,29 +502,29 @@ def test_kmc_ledger_property(n_sites, tol_factor, phonons, n_events, seed,
     """Replaying the trace reproduces every drift, energy and count; every
     event is reversible, so a run that stops early applied nothing."""
     g = ModeGrid(n_sites, UNIT)
-    events = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
-    assume(any(mode == "all" or e.g == 0 for e in events))
+    table = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
+    assume(len(table) > 0 if mode == "all" else (table.g == 0).any())
     pop = biased_population(g, phonons)
-    tr = kmc_run(g, pop, events, n_events, seed, mode)
+    tr = kmc_run(g, pop, table, n_events, seed, mode)
     if tr.status == "completed":
         assert tr.n_applied == n_events
     else:
         assert tr.status == "no_applicable_event" and tr.n_applied == 0
     omega = g.omega(g.labels)
     base = int(g.labels[0])
+    rows = channel_rows(table)
     counts = pop.counts.copy()
     drift, energy = pop.drift, pop.total_energy
     for s in range(tr.n_applied):
-        e = events[tr.event_indices[s]]
+        n1, n2, n3, eg, residual = rows[tr.event_indices[s]]
         d = int(tr.directions[s])
-        assert mode == "all" or e.g == 0
-        for n, step in ((e.n1, -d), (e.n2, -d), (e.n3, d)):
+        assert mode == "all" or eg == 0
+        for n, step in ((n1, -d), (n2, -d), (n3, d)):
             counts[n - base] += step
         assert (counts >= 0).all()
-        drift -= d * e.g * n_sites
-        de = d * (omega[e.n3 - base] - omega[e.n1 - base]
-                  - omega[e.n2 - base])
-        assert abs(abs(de) - e.delta_omega) <= 1e-12
+        drift -= d * eg * n_sites
+        de = d * (omega[n3 - base] - omega[n1 - base] - omega[n2 - base])
+        assert abs(abs(de) - residual) <= 1e-12
         energy += de
         assert tr.drifts[s] == drift == int(np.dot(counts, g.labels))
         assert abs(tr.energies[s] - energy) <= 1e-9 * (1.0 + abs(energy))
