@@ -1,8 +1,9 @@
 """Command-line entry point: argument parsing, dispatch, CSV/JSON emission.
 
 Every run is deterministic: one seed drives all randomness, dict/field
-order is fixed, and floats are serialized with 17 significant digits, so
-identical configs produce byte-identical output.
+order is fixed, and floats are written as %.17g, so identical configs
+produce byte-identical output.  Each CSV table has one row format, a
+%-string given by the handler that knows its column types.
 """
 
 import argparse
@@ -19,38 +20,26 @@ from .dispersion import (CONSTANTS, PROTON_MASS, ModeGrid, OscillatorParams,
 from .errors import DiscretumError
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    return str(value)
-
-
 def emit_json(obj):
-    """Compact deterministic JSON with 17-significant-digit floats."""
+    """Compact deterministic JSON of dicts, lists, str, bool, int, float.
+
+    Floats are written as %.17g; everything else that is not a container
+    goes through json.dumps.
+    """
     if isinstance(obj, dict):
-        return "{" + ", ".join(
-            "%s: %s" % (json.dumps(str(k)), emit_json(v))
-            for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(emit_json(v) for v in obj) + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, float, int, np.integer, np.floating)):
-        return _fmt(float(obj) if isinstance(obj, np.floating) else obj)
-    raise TypeError("cannot serialize %r" % type(obj))
+        return "{" + ", ".join("%s: %s" % (json.dumps(k), emit_json(v))
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(emit_json, obj)) + "]"
+    if isinstance(obj, float):
+        return "%.17g" % obj
+    return json.dumps(obj)
 
 
-def emit_csv(header, rows):
-    """CSV text with a header row; cells formatted per type."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def emit_csv(header, row_format, rows):
+    """The header line, then `row_format % row` for each row (a sequence)."""
+    return ",".join(header) + "\n" + "".join(
+        row_format % tuple(row) for row in rows)
 
 
 def _write(text, path):
@@ -61,7 +50,7 @@ def _write(text, path):
             fh.write(text)
 
 
-def _load_json_file(path, required, optional=()):
+def _load_json_file(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -69,14 +58,6 @@ def _load_json_file(path, required, optional=()):
             raise DiscretumError("%s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise DiscretumError("%s: top level must be an object" % path)
-    unknown = set(data) - set(required) - set(optional)
-    if unknown:
-        raise DiscretumError(
-            "%s: unknown key(s): %s" % (path, ", ".join(sorted(unknown))))
-    missing = set(required) - set(data)
-    if missing:
-        raise DiscretumError(
-            "%s: missing key(s): %s" % (path, ", ".join(sorted(missing))))
     return data
 
 
@@ -90,16 +71,18 @@ def _parse_vector(text):
 # ---------------------------------------------------------------- handlers
 
 def _cmd_fold(args):
-    data = _load_json_file(args.basis, ("dim", "vectors"))
-    vectors = np.array(data["vectors"], dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] != data["dim"]:
+    data = _load_json_file(args.basis)
+    if sorted(data) != ["dim", "vectors"]:
+        raise DiscretumError("%s: keys must be 'dim' and 'vectors', got %s"
+                             % (args.basis, ", ".join(sorted(data)) or "none"))
+    basis = lattice.LatticeBasis(data["vectors"])
+    if basis.dim != data["dim"]:
         raise DiscretumError(
             "%s: 'vectors' must be %s row vectors" % (args.basis, data["dim"]))
-    basis = lattice.LatticeBasis(vectors)
     folded = lattice.fold_to_bz(lattice.reciprocal_basis(basis),
                                 _parse_vector(args.k))
     return emit_json({
-        "k_folded": [float(x) for x in folded.k_folded],
+        "k_folded": folded.k_folded.tolist(),
         "g_indices": list(folded.g.indices),
     }) + "\n"
 
@@ -116,7 +99,8 @@ def _cmd_processes(args):
     kind = np.where(table.g != 0, "umklapp", "normal")
     rows = zip(table.n1.tolist(), table.n2.tolist(), table.n3.tolist(),
                table.g.tolist(), table.delta_omega.tolist(), kind.tolist())
-    return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"), rows)
+    return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"),
+                    "%d,%d,%d,%d,%.17g,%s\n", rows)
 
 
 def _cmd_thermalize(args):
@@ -134,14 +118,13 @@ def _cmd_thermalize(args):
     rows.extend(zip(range(1, trace.n_applied + 1), trace.drifts.tolist(),
                     trace.energies.tolist(),
                     table.g[trace.event_indices].tolist()))
-    return emit_csv(("step", "drift", "energy", "event_g"), rows)
+    # %s writes the initial row's empty event_g and an int as %d would.
+    return emit_csv(("step", "drift", "energy", "event_g"),
+                    "%d,%d,%.17g,%s\n", rows)
 
 
 def _cmd_simulate(args):
-    data = _load_json_file(args.config,
-                           ("n_sites", "steps", "init"),
-                           ("kappa", "m", "a", "dt", "stride"))
-    config = dynamics.SimConfig.from_dict(data)
+    config = dynamics.SimConfig.from_dict(_load_json_file(args.config))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = dynamics.run_sim(config)
@@ -150,7 +133,7 @@ def _cmd_simulate(args):
     header = ["t", "E_total"] + ["E_mode_%d" % j for j in range(config.n_sites)]
     rows = np.column_stack([result.times, result.total_energy,
                             result.mode_energies]).tolist()
-    return emit_csv(header, rows)
+    return emit_csv(header, ",".join(["%.17g"] * len(header)) + "\n", rows)
 
 
 def _cmd_dispersion(args):
@@ -160,7 +143,7 @@ def _cmd_dispersion(args):
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
     edge = math.pi / args.a
     qs = np.linspace(-edge, edge, args.q_samples)
-    return emit_csv(("q", "omega"), np.column_stack(
+    return emit_csv(("q", "omega"), "%.17g,%.17g\n", np.column_stack(
         [qs, chain_dispersion(params, qs)]).tolist())
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiscretumError, SubRestMassError, require_finite
+from .errors import (DiscretumError, SubRestMassError, require_finite,
+                     require_positive)
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class PhysicalConstants:
     eV: float = 1.602176634e-19      # J
 
     def __post_init__(self):
-        if not (self.c > 0 and self.h > 0 and self.eV > 0):
-            raise DiscretumError("physical constants must be positive")
+        for name in ("c", "h", "eV"):
+            require_positive(name, getattr(self, name))
 
     @property
     def hbar(self):
@@ -49,11 +50,9 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("kappa", "m", "a"):
-            require_finite(name, getattr(self, name))
-        if not (self.kappa > 0 and self.m > 0 and self.a > 0):
-            raise DiscretumError(
-                "oscillator parameters must be positive, got kappa=%r m=%r a=%r"
-                % (self.kappa, self.m, self.a))
+            require_positive(name, getattr(self, name))
+        # kappa/m can overflow to inf or underflow to 0.
+        require_positive("omega_max", self.omega_max)
 
     @property
     def omega_max(self):
@@ -133,6 +132,8 @@ class ModeGrid:
 
 def cutoff_momentum(consts, E_b, m_p):
     """Relativistic momentum sqrt(E_b^2/c^2 - m_p^2 c^2) for total energy E_b."""
+    require_positive("E_b", E_b)
+    require_finite("m_p", m_p)
     rest = m_p * consts.c**2
     if E_b < rest:
         raise SubRestMassError(
@@ -145,15 +146,13 @@ def cutoff_momentum(consts, E_b, m_p):
 
 def lattice_spacing_from_cutoff(consts, p_cut):
     """Spacing a_s = h/p_cut at which the zone edge sits at momentum p_cut."""
-    if p_cut <= 0:
-        raise DiscretumError("cutoff momentum must be positive, got %r" % p_cut)
+    require_positive("cutoff momentum", p_cut)
     return consts.h / p_cut
 
 
 def bz_extent(a_s):
     """Extent 2*pi/a_s of the first zone for spacing a_s."""
-    if a_s <= 0:
-        raise DiscretumError("spacing must be positive, got %r" % a_s)
+    require_positive("spacing", a_s)
     return 2.0 * math.pi / a_s
 
 

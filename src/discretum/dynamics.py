@@ -27,7 +27,8 @@ import numpy as np
 
 from .dispersion import (ModeGrid, OscillatorParams, chain_dispersion,
                          mode_wave_number)
-from .errors import DiscretumError, StabilityWarning, require_finite
+from .errors import (DiscretumError, StabilityWarning, require_finite,
+                     require_positive)
 
 # Forest-Ruth composition coefficients (4th order, 3 force evaluations).
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -113,8 +114,7 @@ def accelerations(state):
 
 def _check_dt(params, dt):
     """Reject dt <= 0; warn (to the integrator's caller) near the stable bound."""
-    if dt <= 0:
-        raise DiscretumError("dt must be positive, got %r" % dt)
+    require_positive("dt", dt)
     omega_max = params.omega_max
     if dt * omega_max >= STABILITY_LIMIT:
         warnings.warn(
@@ -304,12 +304,9 @@ class SimConfig:
         _require_int("n_sites", self.n_sites, minimum=2)
         _require_int("steps", self.steps, minimum=0)
         _require_int("stride", self.stride, minimum=1)
-        for name in ("kappa", "m", "a"):
-            require_finite(name, getattr(self, name))
+        self.params  # builds OscillatorParams: checks kappa, m, a, omega_max
         if self.dt is not None:
-            require_finite("dt", self.dt)
-            if self.dt <= 0:
-                raise DiscretumError("dt must be > 0, got %r" % self.dt)
+            require_positive("dt", self.dt)
 
     @property
     def params(self):

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across discretum, plus require_finite."""
+"""Exception and warning types shared across discretum, plus the number checks."""
 
 import math
 import numbers
@@ -25,3 +25,10 @@ def require_finite(name, value):
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise DiscretumError("%s must be a finite number, got %r" % (name, value))
+
+
+def require_positive(name, value):
+    """Raise DiscretumError unless `value` is a finite real number above 0."""
+    require_finite(name, value)
+    if not value > 0:
+        raise DiscretumError("%s must be > 0, got %r" % (name, value))

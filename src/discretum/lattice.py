@@ -28,7 +28,13 @@ _TIE_EPS = 1e-12
 
 
 def _as_matrix(vectors):
-    mat = np.array(vectors, dtype=float)
+    try:
+        mat = np.array(vectors, dtype=float)
+    except (TypeError, ValueError):
+        raise DegenerateBasisError(
+            "basis vectors must be equal-length rows of numbers") from None
+    if not np.isfinite(mat).all():
+        raise DegenerateBasisError("basis vectors must be finite")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DegenerateBasisError(
             "basis must be a square matrix of row vectors, got shape %s"

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dispersion import CONSTANTS
-from .errors import DiscretumError
+from .errors import DiscretumError, require_positive
 
 
 def _canon(terms):
@@ -186,11 +186,16 @@ def build_qp_matrices(n_dim, m, omega, hbar=1.0):
     """
     if n_dim < 2:
         raise DiscretumError("need at least a 2-dimensional truncation")
-    if not (m > 0 and omega > 0 and hbar > 0):
-        raise DiscretumError("m, omega, hbar must be positive")
+    for name, value in (("m", m), ("omega", omega), ("hbar", hbar)):
+        require_positive(name, value)
+    # Products of finite inputs can still overflow or underflow.
+    require_positive("m*omega", m * omega)
+    q2, p2 = hbar / (2.0 * m * omega), hbar * m * omega / 2.0
+    require_positive("hbar/(2*m*omega)", q2)
+    require_positive("hbar*m*omega/2", p2)
     a = _ladder(n_dim)
-    q = math.sqrt(hbar / (2.0 * m * omega)) * (a + a.T)
-    p = 1j * math.sqrt(hbar * m * omega / 2.0) * (a.T - a)
+    q = math.sqrt(q2) * (a + a.T)
+    p = 1j * math.sqrt(p2) * (a.T - a)
     return (OperatorMatrix(q, "position"), OperatorMatrix(p, "momentum"))
 
 
@@ -263,8 +268,8 @@ class RelationInputs:
     c: float = CONSTANTS.c
 
     def __post_init__(self):
-        if not (self.m > 0 and self.a > 0 and self.omega > 0 and self.c > 0):
-            raise DiscretumError("relation inputs must be positive")
+        for name in ("m", "a", "omega", "c"):
+            require_positive(name, getattr(self, name))
 
 
 def planck_from_lattice(inputs):
@@ -279,6 +284,5 @@ def action_quantum_from_frequency(inputs):
 
 def medium_atom_mass(consts, a):
     """Mass h/(c*a) for which the medium's action quantum is Planck's h."""
-    if a <= 0:
-        raise DiscretumError("spacing must be positive, got %r" % a)
+    require_positive("spacing", a)
     return consts.h / (consts.c * a)

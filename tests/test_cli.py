@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,25 @@ import pytest
 from conftest import run_cli
 from discretum import (
     CONSTANTS,
+    DEFAULT_TOL_FACTOR,
     LatticeBasis,
     ModeGrid,
     OscillatorParams,
+    RelationInputs,
+    SimConfig,
     biased_population,
     build_qp_matrices,
     chain_dispersion,
     commutator_defect,
+    compare_cutoffs,
     enumerate_three_phonon,
     fold_to_bz,
+    ground_energy,
     kmc_run,
+    medium_atom_mass,
+    planck_from_lattice,
     reciprocal_basis,
+    run_sim,
 )
 UNIT = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
 
@@ -75,6 +84,20 @@ def test_fold_non_finite_k(tmp_path, k):
     status, out, err = run_cli("fold", "--basis", basis, "--k=" + k)
     assert status == 2 and out == ""
     assert err.startswith("discretum fold:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("vectors,message", [
+    ("[[1, 0], [0]]", "basis vectors must be equal-length rows of numbers"),
+    ('[["a"]]', "basis vectors must be equal-length rows of numbers"),
+    ("[[NaN]]", "basis vectors must be finite"),
+    ("[[Infinity]]", "basis vectors must be finite"),
+], ids=["ragged", "string", "nan", "inf"])
+def test_fold_rejects_bad_basis_entries(tmp_path, vectors, message):
+    path = tmp_path / "basis.json"
+    path.write_text('{"dim": 1, "vectors": %s}' % vectors)
+    status, out, err = run_cli("fold", "--basis", str(path), "--k", "1.0")
+    assert (status, out) == (2, "")
+    assert err == "discretum fold: %s\n" % message
 
 
 def test_fold_degenerate_basis(tmp_path):
@@ -165,6 +188,51 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
         argv[0], name, value)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("dispersion", "--q-samples", "3", "--kappa", "1e308", "--m", "1e-10"),
+     "omega_max must be a finite number, got inf"),
+    (("processes", "--n", "4", "--kappa", "1e308", "--m", "1e-10"),
+     "omega_max must be a finite number, got inf"),
+    (("processes", "--n", "4", "--kappa", "1e-300", "--m", "1e300"),
+     "omega_max must be > 0, got 0.0"),
+    (("commutator", "--N", "4", "--hbar", "inf"),
+     "hbar must be a finite number, got inf"),
+    (("commutator", "--N", "4", "--m", "inf"),
+     "m must be a finite number, got inf"),
+    (("commutator", "--N", "4", "--m", "1e-300", "--omega", "1e-300"),
+     "m*omega must be > 0, got 0.0"),
+    (("commutator", "--N", "4", "--omega", "-1"),
+     "omega must be > 0, got -1.0"),
+    (("commutator", "--N", "4", "--hbar", "1e-320", "--m", "1e10"),
+     "hbar/(2*m*omega) must be > 0, got 0.0"),
+    (("commutator", "--N", "4", "--hbar", "1e300", "--m", "1e10"),
+     "hbar*m*omega/2 must be a finite number, got inf"),
+    (("cutoff", "--stated-momentum", "nan"),
+     "cutoff momentum must be a finite number, got nan"),
+    (("cutoff", "--Eb-eV", "nan"), "E_b must be a finite number, got nan"),
+    (("cutoff", "--mp-MeV", "nan"), "m_p must be a finite number, got nan"),
+    (("planck", "--a", "nan"), "spacing must be a finite number, got nan"),
+], ids=["dispersion-omega-inf", "processes-omega-inf", "processes-omega-0",
+        "commutator-hbar", "commutator-m", "commutator-m-omega",
+        "commutator-omega", "commutator-q-scale", "commutator-p-scale",
+        "cutoff-stated", "cutoff-Eb", "cutoff-mp",
+        "planck-a"])
+def test_numeric_boundary_exits_2(argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        status, out, err = run_cli(*argv)
+    assert (status, out) == (2, "")
+    assert err == "discretum %s: %s\n" % (argv[0], message)
+
+
+def test_simulate_underflowing_omega_max_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"n_sites": 8, "steps": 2, "kappa": 1e-300,
+                                  "m": 1e300, "init": {"type": "random"}})
+    status, out, err = run_cli("simulate", "--config", cfg)
+    assert (status, out) == (2, "")
+    assert err == "discretum simulate: omega_max must be > 0, got 0.0\n"
+
+
 # sha256 of stdout for fixed arguments and seeds.  Acceptance 12 only
 # repeats a run within one version; these digests catch any change of bytes
 # from one version of the code to the next.
@@ -187,6 +255,180 @@ def test_golden_stdout_digest(argv, digest):
     status, out, err = run_cli(*argv)
     assert status == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------- byte reference
+
+# The emitters as they were when every cell was formatted by its Python
+# type.  Each test below builds the text they give for library results in
+# this process and requires the CLI's stdout to equal it byte for byte, so
+# the comparison does not depend on the machine's libm or BLAS.
+
+def _reference_fmt(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    return str(value)
+
+
+def reference_json(obj):
+    if isinstance(obj, dict):
+        return "{" + ", ".join(
+            "%s: %s" % (json.dumps(str(k)), reference_json(v))
+            for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(reference_json(v) for v in obj) + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (bool, float, int, np.integer, np.floating)):
+        return _reference_fmt(float(obj) if isinstance(obj, np.floating)
+                              else obj)
+    raise TypeError("cannot serialize %r" % type(obj))
+
+
+def reference_csv(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_reference_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def assert_stdout(argv, expected):
+    status, out, _ = run_cli(*argv)
+    assert status == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("n,tol,kappa,m,n_rows,n_umklapp", [
+    (8, DEFAULT_TOL_FACTOR, 1.0, 1.0, 0, 0),
+    (8, 0.2, 1.0, 1.0, 4, 0),
+    (17, 2.5, 1.0, 1.0, 128, 40),
+    (512, DEFAULT_TOL_FACTOR, 2.5, 0.7, 14534, 71),
+], ids=["n8", "n8-tol", "n17-umklapp", "n512-kappa-m"])
+def test_processes_bytes_match_reference(n, tol, kappa, m, n_rows, n_umklapp):
+    grid = ModeGrid(n, OscillatorParams(kappa=kappa, m=m, a=1.0))
+    table = enumerate_three_phonon(grid, tol * grid.params.omega_max)
+    rows = [(table.n1[i], table.n2[i], table.n3[i], table.g[i],
+             float(table.delta_omega[i]),
+             "umklapp" if table.g[i] != 0 else "normal")
+            for i in range(len(table))]
+    assert len(rows) == n_rows
+    assert sum(row[5] == "umklapp" for row in rows) == n_umklapp
+    assert_stdout(("processes", "--n", str(n), "--tol", repr(tol),
+                   "--kappa", repr(kappa), "--m", repr(m)),
+                  reference_csv(("n1", "n2", "n3", "g", "delta_omega",
+                                 "kind"), rows))
+
+
+@pytest.mark.parametrize("cli_mode,lib_mode,phonons", [
+    ("all", "all", 60), ("normal", "normal_only", 60), ("all", "all", 0),
+], ids=["all", "normal", "no-phonons"])
+def test_thermalize_bytes_match_reference(cli_mode, lib_mode, phonons):
+    grid = ModeGrid(32, OscillatorParams(kappa=1.0, m=1.0, a=1.0))
+    table = enumerate_three_phonon(grid, 0.5 * grid.params.omega_max)
+    trace = kmc_run(grid, biased_population(grid, phonons), table, 80, 4,
+                    lib_mode)
+    rows = [(0, trace.initial_drift, trace.initial_energy, "")]
+    rows.extend((s + 1, trace.drifts[s], float(trace.energies[s]),
+                 table.g[trace.event_indices[s]])
+                for s in range(trace.n_applied))
+    assert len(rows) == (1 if phonons == 0 else 81)
+    assert_stdout(("thermalize", "--n", "32", "--tol", "0.5", "--events",
+                   "80", "--seed", "4", "--mode", cli_mode, "--phonons",
+                   str(phonons)),
+                  reference_csv(("step", "drift", "energy", "event_g"), rows))
+
+
+@pytest.mark.parametrize("config", [
+    {"n_sites": 12, "steps": 30, "stride": 7, "kappa": 2.5, "m": 0.7,
+     "a": 1.3, "init": {"type": "plane_wave", "mode_index": 3,
+                        "amplitude": 0.4}},
+    {"n_sites": 1024, "steps": 4, "stride": 1,
+     "init": {"type": "random", "seed": 11, "amplitude": 1.5}},
+], ids=["plane-wave", "random-1024"])
+def test_simulate_bytes_match_reference(tmp_path, config):
+    result = run_sim(SimConfig.from_dict(config))
+    n = config["n_sites"]
+    rows = [[float(result.times[i]), float(result.total_energy[i])]
+            + [float(e) for e in result.mode_energies[i]]
+            for i in range(result.times.size)]
+    assert_stdout(("simulate", "--config", write_config(tmp_path, config)),
+                  reference_csv(["t", "E_total"]
+                                + ["E_mode_%d" % j for j in range(n)], rows))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 200])
+def test_dispersion_bytes_match_reference(samples):
+    params = OscillatorParams(kappa=2.5, m=0.7, a=1.3)
+    qs = np.linspace(-math.pi / params.a, math.pi / params.a, samples)
+    rows = [(float(q), float(w))
+            for q, w in zip(qs, chain_dispersion(params, qs))]
+    assert_stdout(("dispersion", "--q-samples", str(samples), "--kappa",
+                   "2.5", "--m", "0.7", "--a", "1.3"),
+                  reference_csv(("q", "omega"), rows))
+
+
+@pytest.mark.parametrize("vectors,k", [
+    ([[1.0]], [3.0 * math.pi]),
+    ([[1.0, 0.2, 0.0], [-0.3, 0.9, 0.1], [0.05, 0.0, 1.1]],
+     [7.25, -3.5, 2.0]),
+], ids=["1d-boundary", "3d"])
+def test_fold_bytes_match_reference(tmp_path, vectors, k):
+    folded = fold_to_bz(reciprocal_basis(LatticeBasis(vectors)),
+                        np.array(k))
+    if len(k) == 1:
+        assert folded.k_folded[0] == math.pi  # the +pi side of the boundary
+    expected = reference_json({
+        "k_folded": [float(x) for x in folded.k_folded],
+        "g_indices": list(folded.g.indices)}) + "\n"
+    assert_stdout(("fold", "--basis", write_basis(tmp_path, len(k), vectors),
+                   "--k", ",".join(map(repr, k))), expected)
+
+
+def _cutoff_chain(est):
+    return {"E_b": est.E_b, "p_cut": est.p_cut, "a_s": est.a_s,
+            "bz_extent": est.bz_extent}
+
+
+@pytest.mark.parametrize("eb_ev,mp_mev,stated", [
+    (1e21, 938.272, 1e-9), (1e21, 938.272, 5.3442859927e-7),
+    (2.5e12, 0.511, 3e-15),
+], ids=["default", "consistent", "electron"])
+def test_cutoff_bytes_match_reference(eb_ev, mp_mev, stated):
+    m_p = mp_mev * 1e6 * CONSTANTS.eV / CONSTANTS.c**2
+    comp = compare_cutoffs(CONSTANTS, eb_ev * CONSTANTS.eV, m_p, stated)
+    expected = reference_json({"exact": _cutoff_chain(comp.exact),
+                               "stated": _cutoff_chain(comp.stated),
+                               "consistent": comp.consistent}) + "\n"
+    assert_stdout(("cutoff", "--Eb-eV", repr(eb_ev), "--mp-MeV", repr(mp_mev),
+                   "--stated-momentum", repr(stated)), expected)
+
+
+@pytest.mark.parametrize("n,hbar,m,omega", [
+    (8, 1.0, 1.0, 1.0), (64, 0.3, 2.0, 1.7),
+], ids=["n8", "n64-scaled"])
+def test_commutator_bytes_match_reference(n, hbar, m, omega):
+    q, p = build_qp_matrices(n, m, omega, hbar)
+    defect, corner = commutator_defect(q, p, hbar)
+    expected = reference_json({
+        "max_defect": defect,
+        "corner": {"re": corner.real, "im": corner.imag},
+        "ground_energy": ground_energy(q, p, m, omega)}) + "\n"
+    assert_stdout(("commutator", "--N", str(n), "--hbar", repr(hbar), "--m",
+                   repr(m), "--omega", repr(omega)), expected)
+
+
+@pytest.mark.parametrize("a", [1e-25, 3.7e-19])
+def test_planck_bytes_match_reference(a):
+    mass = medium_atom_mass(CONSTANTS, a)
+    inputs = RelationInputs(m=mass, a=a, omega=CONSTANTS.c / a)
+    expected = reference_json({
+        "mass_kg": mass, "h_roundtrip": planck_from_lattice(inputs)}) + "\n"
+    assert_stdout(("planck", "--a", repr(a)), expected)
 
 
 # -------------------------------------------------------------- thermalize

@@ -19,7 +19,7 @@ from discretum import (
     oscillator_frequency,
     sound_speed,
 )
-from discretum.errors import require_finite
+from discretum.errors import require_finite, require_positive
 
 
 def test_constants_values():
@@ -68,6 +68,30 @@ def test_require_finite():
     for value in (math.nan, math.inf, -math.inf, False, None, "1.0", [1.0]):
         with pytest.raises(DiscretumError, match="^x must be a finite number"):
             require_finite("x", value)
+
+
+def test_require_positive():
+    for value in (5e-324, 1, 1.5, 1.7e308, np.float64(3.0), np.int64(4)):
+        require_positive("x", value)
+    # the finiteness check comes first, with its own message
+    for value in (math.nan, math.inf, -math.inf, True, None, "1.0"):
+        with pytest.raises(DiscretumError, match="^x must be a finite number"):
+            require_positive("x", value)
+    for value, text in ((0, "0"), (0.0, "0.0"), (-0.0, "-0.0"), (-2, "-2"),
+                        (-1e-300, "-1e-300")):
+        with pytest.raises(DiscretumError) as info:
+            require_positive("x", value)
+        assert str(info.value) == "x must be > 0, got %s" % text
+
+
+@pytest.mark.parametrize("kappa,m,value", [
+    (1e308, 1e-10, "a finite number, got inf"),
+    (1e-300, 1e300, "> 0, got 0.0"),
+])
+def test_params_reject_overflowing_omega_max(kappa, m, value):
+    with pytest.raises(DiscretumError) as info:
+        OscillatorParams(kappa=kappa, m=m, a=1.0)
+    assert str(info.value) == "omega_max must be " + value
 
 
 def test_chain_dispersion_special_points():

@@ -337,6 +337,15 @@ def test_init_spec_and_config_validation():
         SimConfig(n_sites=8, steps=1, init=InitSpec(type="random"), stride=0)
 
 
+@pytest.mark.parametrize("chain", [
+    {"kappa": -1.0}, {"m": 0.0}, {"a": -2.0}, {"kappa": 1e-300, "m": 1e300},
+    {"kappa": 1e308, "m": 1e-10},
+], ids=["kappa", "m", "a", "omega-underflow", "omega-overflow"])
+def test_config_rejects_bad_chain_at_construction(chain):
+    with pytest.raises(DiscretumError):
+        SimConfig(n_sites=8, steps=1, init=InitSpec(type="random"), **chain)
+
+
 def test_config_dt_default():
     cfg = SimConfig(n_sites=8, steps=1, init=InitSpec(type="random"))
     np.testing.assert_allclose(cfg.dt_effective, 0.01, rtol=1e-15)

@@ -216,6 +216,15 @@ def test_degenerate_basis_rejected():
         reciprocal_basis(LatticeBasis(vectors=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])))
 
 
+@pytest.mark.parametrize("vectors", [
+    [[1.0, 0.0], [0.0]], [["a"]], [[{}]], [[math.nan]], [[math.inf]],
+    [[1.0, 0.0], [0.0, -math.inf]], [[None]],
+], ids=["ragged", "string", "object", "nan", "inf", "minus-inf", "none"])
+def test_basis_rejects_non_numeric_entries(vectors):
+    with pytest.raises(DegenerateBasisError, match="^basis vectors must be"):
+        LatticeBasis(vectors)
+
+
 def test_fold_shape_mismatch_rejected():
     recip = reciprocal_basis(LatticeBasis.cubic(1.0, dim=2))
     with pytest.raises(DiscretumError):

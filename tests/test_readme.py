@@ -1,11 +1,20 @@
-"""The README's Python examples run as written against the package."""
+"""The README's Python and command-line examples run as written."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from conftest import run_cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Subcommands whose README output shows only the header line.
+ABRIDGED = ("simulate", "dispersion")
 
 
 def test_readme_python_blocks_run():
@@ -15,3 +24,56 @@ def test_readme_python_blocks_run():
     for source in blocks:
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+def readme_cli_examples():
+    """(files, argv, shown output) for each `$ discretum` line in sh blocks.
+
+    The lines after a `$ cat NAME` are the file NAME, which later commands
+    of the same block read; the lines after a `$ discretum ...` are its
+    stdout as the README shows it.
+    """
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(),
+                            flags=re.M | re.S):
+        files = {}
+        for command, shown in re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)",
+                                         block, flags=re.M):
+            argv = shlex.split(command)
+            if argv[0] == "cat":
+                files[argv[1]] = shown
+            else:
+                assert argv[0] == "discretum", command
+                examples.append((dict(files), argv[1:], shown))
+    return examples
+
+
+EXAMPLES = readme_cli_examples()
+
+
+def test_readme_shows_every_subcommand():
+    assert [argv[0] for _, argv, _ in EXAMPLES] == [
+        "fold", "processes", "thermalize", "simulate", "dispersion",
+        "cutoff", "commutator", "planck"]
+
+
+@pytest.mark.parametrize("files,argv,shown", EXAMPLES,
+                         ids=[argv[0] for _, argv, _ in EXAMPLES])
+def test_readme_cli_example(tmp_path, monkeypatch, files, argv, shown):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    status, out, err = run_cli(*argv)
+    assert (status, err) == (0, "")
+    if argv[0] in ABRIDGED:
+        assert shown.count("\n") == 1
+        assert out.split("\n", 1)[0] + "\n" == shown
+    elif argv[0] == "commutator":
+        # max_defect is rounding noise whose digits depend on the BLAS.
+        got, want = json.loads(out), json.loads(shown)
+        assert list(got) == list(want)
+        assert out.count("\n") == shown.count("\n") == 1
+        assert got["corner"] == want["corner"]
+        assert got["ground_energy"] == want["ground_energy"]
+    else:
+        assert out == shown
