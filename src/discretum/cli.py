@@ -7,6 +7,7 @@ produce byte-identical output.  Each CSV table has one row format, a
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 from . import dynamics, lattice, quantum_bridge, scattering
 from .dispersion import (CONSTANTS, PROTON_MASS, ModeGrid, OscillatorParams,
                          chain_dispersion, compare_cutoffs)
-from .errors import DiscretumError
+from .errors import DiscretumError, require_finite
 
 
 def emit_json(obj):
@@ -81,10 +82,8 @@ def _cmd_fold(args):
             "%s: 'vectors' must be %s row vectors" % (args.basis, data["dim"]))
     folded = lattice.fold_to_bz(lattice.reciprocal_basis(basis),
                                 _parse_vector(args.k))
-    return emit_json({
-        "k_folded": folded.k_folded.tolist(),
-        "g_indices": list(folded.g.indices),
-    }) + "\n"
+    return emit_json({"k_folded": folded.k_folded.tolist(),
+                      "g_indices": list(folded.g.indices)}) + "\n"
 
 
 def _grid(args):
@@ -142,6 +141,7 @@ def _cmd_dispersion(args):
             "--q-samples must be >= 0, got %d" % args.q_samples)
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
     edge = math.pi / args.a
+    require_finite("zone edge pi/a", edge)
     qs = np.linspace(-edge, edge, args.q_samples)
     return emit_csv(("q", "omega"), "%.17g,%.17g\n", np.column_stack(
         [qs, chain_dispersion(params, qs)]).tolist())
@@ -151,12 +151,10 @@ def _cmd_cutoff(args):
     m_p = args.mp_MeV * 1e6 * CONSTANTS.eV / CONSTANTS.c**2
     comp = compare_cutoffs(CONSTANTS, args.Eb_eV * CONSTANTS.eV, m_p,
                            args.stated_momentum)
-    def chain(est):
-        return {"E_b": est.E_b, "p_cut": est.p_cut, "a_s": est.a_s,
-                "bz_extent": est.bz_extent}
+    keys = ("E_b", "p_cut", "a_s", "bz_extent")
     return emit_json({
-        "exact": chain(comp.exact),
-        "stated": chain(comp.stated),
+        "exact": {k: getattr(comp.exact, k) for k in keys},
+        "stated": {k: getattr(comp.stated, k) for k in keys},
         "consistent": comp.consistent,
     }) + "\n"
 
@@ -177,10 +175,8 @@ def _cmd_planck(args):
     mass = quantum_bridge.medium_atom_mass(CONSTANTS, args.a)
     inputs = quantum_bridge.RelationInputs(m=mass, a=args.a,
                                            omega=CONSTANTS.c / args.a)
-    return emit_json({
-        "mass_kg": mass,
-        "h_roundtrip": quantum_bridge.planck_from_lattice(inputs),
-    }) + "\n"
+    return emit_json({"mass_kg": mass, "h_roundtrip":
+                      quantum_bridge.planck_from_lattice(inputs)}) + "\n"
 
 
 # ----------------------------------------------------------------- parsing
@@ -193,7 +189,8 @@ def _add_chain_flags(sub):
                      help="lattice spacing (default 1)")
 
 
-def parse_args(argv):
+@functools.cache  # the argparse tree is built on the first parse, then reused
+def _parser():
     parser = argparse.ArgumentParser(
         prog="discretum",
         description="Harmonic-lattice toolkit: zone folding, chain dynamics, "
@@ -271,8 +268,11 @@ def parse_args(argv):
     for sub_parser in subs.choices.values():
         sub_parser.add_argument("--output", default="-",
                                 help="output file (default stdout)")
+    return parser
 
-    return parser.parse_args(argv)
+
+def parse_args(argv):
+    return _parser().parse_args(argv)
 
 
 def dispatch(args):

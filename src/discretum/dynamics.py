@@ -354,27 +354,24 @@ def _initial_state(config):
 
 
 def run_sim(config):
-    """Integrate per config, sampling every `stride` steps (plus first/last row)."""
+    """Integrate per config, sampling every `stride` steps (plus first/last
+    row); raises DiscretumError at the first sampled row that is not finite."""
     state = _initial_state(config)
     grid = ModeGrid(config.n_sites, state.params)
     dt = config.dt_effective
-    rows_t, rows_e, rows_m, rows_u = [], [], [], []
+    rows = []
 
     def sample():
-        rows_t.append(state.t)
-        rows_e.append(total_energy(state))
-        rows_m.append(mode_energies(to_modes(state, grid)))
-        rows_u.append(state.u.copy())
+        energy = total_energy(state)
+        modes = mode_energies(to_modes(state, grid))
+        if not (math.isfinite(energy) and np.isfinite(modes).all()):
+            raise DiscretumError(
+                "row at t = %r is not finite (omega_max*dt = %g, stable below "
+                "%g)" % (state.t, state.params.omega_max * dt, STABILITY_LIMIT))
+        rows.append((state.t, energy, modes, state.u.copy()))
 
     sample()
-    done = 0
-    while done < config.steps:
-        n = min(config.stride, config.steps - done)
-        advance(state, dt, n)
-        done += n
+    for done in range(0, config.steps, config.stride):
+        advance(state, dt, min(config.stride, config.steps - done))
         sample()
-    return SimResult(config=config,
-                     times=np.array(rows_t),
-                     total_energy=np.array(rows_e),
-                     mode_energies=np.array(rows_m),
-                     displacements=np.array(rows_u))
+    return SimResult(config, *map(np.array, zip(*rows)))

@@ -4,8 +4,8 @@ The symbolic side works in the free algebra over non-commuting symbols with
 coefficients that are exact rationals times integer powers of the frequency
 omega, so the reduction of the per-mode energy form to half*omega*(pq - qp)
 is tolerance-free.  The matrix side realizes position/momentum as truncated
-ladder-operator combinations, where the canonical commutator holds exactly
-on every diagonal entry except the truncation corner.
+ladder-operator combinations, held as their bands, where the canonical
+commutator holds on every diagonal entry except the truncation corner.
 """
 
 import math
@@ -18,13 +18,15 @@ from .dispersion import CONSTANTS
 from .errors import DiscretumError, require_positive
 
 
-def _canon(terms):
+def _collect(pairs):
+    """Sum (word, {omega_power: coeff}) pairs into canonical terms."""
     out = {}
-    for word, poly in terms.items():
-        clean = {k: v for k, v in poly.items() if v != 0}
-        if clean:
-            out[tuple(word)] = clean
-    return out
+    for word, poly in pairs:
+        tgt = out.setdefault(tuple(word), {})
+        for k, v in poly.items():
+            tgt[k] = tgt.get(k, 0) + v
+    return {w: kept for w, p in out.items()
+            if (kept := {k: v for k, v in p.items() if v != 0})}
 
 
 class NcExpression:
@@ -38,7 +40,7 @@ class NcExpression:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = _canon(terms or {})
+        self.terms = _collect((terms or {}).items())
 
     @classmethod
     def symbol(cls, name):
@@ -54,33 +56,20 @@ class NcExpression:
 
     def scaled(self, coeff, omega_power=0):
         """Multiply by coeff * omega**omega_power."""
-        coeff = Fraction(coeff)
-        return NcExpression({
-            word: {k + omega_power: v * coeff for k, v in poly.items()}
-            for word, poly in self.terms.items()})
+        return self * NcExpression({(): {omega_power: Fraction(coeff)}})
 
     def __add__(self, other):
-        out = {word: dict(poly) for word, poly in self.terms.items()}
-        for word, poly in other.terms.items():
-            tgt = out.setdefault(word, {})
-            for k, v in poly.items():
-                tgt[k] = tgt.get(k, Fraction(0)) + v
-        return NcExpression(out)
+        return NcExpression(_collect([*self.terms.items(),
+                                      *other.terms.items()]))
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def __mul__(self, other):
-        out = {}
-        for w1, p1 in self.terms.items():
-            for w2, p2 in other.terms.items():
-                word = w1 + w2
-                tgt = out.setdefault(word, {})
-                for k1, v1 in p1.items():
-                    for k2, v2 in p2.items():
-                        k = k1 + k2
-                        tgt[k] = tgt.get(k, Fraction(0)) + v1 * v2
-        return NcExpression(out)
+        return NcExpression(_collect(
+            (w1 + w2, {k1 + k2: v1 * v2})
+            for w1, p1 in self.terms.items() for w2, p2 in other.terms.items()
+            for k1, v1 in p1.items() for k2, v2 in p2.items()))
 
     def substitute(self, mapping):
         """Replace symbols by expressions (identity for unlisted symbols)."""
@@ -94,13 +83,8 @@ class NcExpression:
 
     def commutative_image(self):
         """Forget ordering: sort each word's symbols and re-collect."""
-        out = {}
-        for word, poly in self.terms.items():
-            key = tuple(sorted(word))
-            tgt = out.setdefault(key, {})
-            for k, v in poly.items():
-                tgt[k] = tgt.get(k, Fraction(0)) + v
-        return NcExpression(out)
+        return NcExpression(_collect((sorted(word), poly)
+                                     for word, poly in self.terms.items()))
 
     def __eq__(self, other):
         return isinstance(other, NcExpression) and self.terms == other.terms
@@ -110,23 +94,17 @@ class NcExpression:
             (w, frozenset(p.items())) for w, p in self.terms.items()))
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for word in sorted(self.terms):
-            for power in sorted(self.terms[word]):
-                coeff = self.terms[word][power]
-                om = {0: "", 1: "*w"}.get(power, "*w^%d" % power)
-                bits.append("(%s)%s*%s" % (coeff, om, "".join(word) or "1"))
-        return " + ".join(bits)
+        return " + ".join(
+            "(%s)%s*%s" % (poly[k], {0: "", 1: "*w"}.get(k, "*w^%d" % k),
+                           "".join(word) or "1")
+            for word, poly in sorted(self.terms.items()) for k in sorted(poly)
+        ) or "0"
 
 
 def mode_hamiltonian():
     """The per-mode energy form (1/2)*(p p* + w^2 q q*) over free symbols."""
-    return NcExpression({
-        ("p", "p*"): {0: Fraction(1, 2)},
-        ("q", "q*"): {2: Fraction(1, 2)},
-    })
+    return NcExpression({("p", "p*"): {0: Fraction(1, 2)},
+                         ("q", "q*"): {2: Fraction(1, 2)}})
 
 
 def reduce_mode_hamiltonian():
@@ -143,49 +121,48 @@ def reduce_mode_hamiltonian():
     })
 
 
+MAX_DIMENSION = 4096  # bounds the dense N/2 x N/2 ground-energy blocks
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Complex square matrix tagged with its operator role."""
+    """Hermitian band matrix tagged with its operator role: `bands[k]` is
+    superdiagonal k (N - k entries; k = 0 the real diagonal), subdiagonal k
+    its conjugate.  Position and momentum hold band 1 only (tridiagonal with
+    a zero diagonal); the Hamiltonian holds bands 0 and 2."""
 
-    matrix: np.ndarray
+    bands: dict
     role: str
 
-    _ROLES = ("position", "momentum", "hamiltonian")
-    _HERM_TOL = 1e-12
-
     def __post_init__(self):
-        if self.role not in self._ROLES:
-            raise DiscretumError("role must be one of %s" % (self._ROLES,))
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DiscretumError("operator matrix must be square")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        if self.role in ("position", "momentum"):
-            scale = 1.0 + float(np.max(np.abs(mat))) if mat.size else 1.0
-            if self.hermiticity_defect() > self._HERM_TOL * scale:
-                raise DiscretumError("%s matrix is not Hermitian" % self.role)
+        offsets = {"position": [1], "momentum": [1], "hamiltonian": [0, 2]}
+        if sorted(self.bands) != offsets.get(self.role):
+            raise DiscretumError("operator roles and bands are %s, got %r with %s"
+                                 % (offsets, self.role, sorted(self.bands)))
+        bands = {k: np.array(band) for k, band in self.bands.items()}
+        object.__setattr__(self, "bands", bands)
+        n = self.dimension
+        if (any(band.shape != (n - k,) for k, band in bands.items())
+                or np.any(np.imag(bands.get(0, 0.0)) != 0)):
+            raise DiscretumError("%s matrix is not Hermitian N x N: band k "
+                                 "needs N - k entries, band 0 real" % self.role)
+        for band in bands.values():
+            band.setflags(write=False)
 
     @property
     def dimension(self):
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-
-def _ladder(n):
-    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
+        return min(k + band.size for k, band in self.bands.items())
 
 
 def build_qp_matrices(n_dim, m, omega, hbar=1.0):
     """Truncated position/momentum matrices from ladder combinations.
 
-    q = sqrt(hbar/(2 m omega)) (A + A+), p = i sqrt(hbar m omega/2) (A+ - A);
-    both tridiagonal with zero diagonal and Hermitian by construction.
+    q = sqrt(hbar/(2 m omega)) (A + A+), p = i sqrt(hbar m omega/2) (A+ - A)
+    with A[j, j+1] = sqrt(j+1), each held as its band 1; n_dim <= MAX_DIMENSION.
     """
-    if n_dim < 2:
-        raise DiscretumError("need at least a 2-dimensional truncation")
+    if not 2 <= n_dim <= MAX_DIMENSION:
+        raise DiscretumError("truncation dimension must be in [2, %d], got %d"
+                             % (MAX_DIMENSION, n_dim))
     for name, value in (("m", m), ("omega", omega), ("hbar", hbar)):
         require_positive(name, value)
     # Products of finite inputs can still overflow or underflow.
@@ -193,10 +170,25 @@ def build_qp_matrices(n_dim, m, omega, hbar=1.0):
     q2, p2 = hbar / (2.0 * m * omega), hbar * m * omega / 2.0
     require_positive("hbar/(2*m*omega)", q2)
     require_positive("hbar*m*omega/2", p2)
-    a = _ladder(n_dim)
-    q = math.sqrt(q2) * (a + a.T)
-    p = 1j * math.sqrt(p2) * (a.T - a)
-    return (OperatorMatrix(q, "position"), OperatorMatrix(p, "momentum"))
+    ladder = np.sqrt(np.arange(1.0, n_dim))
+    return (OperatorMatrix({1: math.sqrt(q2) * ladder}, "position"),
+            OperatorMatrix({1: -1j * (math.sqrt(p2) * ladder)}, "momentum"))
+
+
+def _band_pair(q, p):
+    if q.dimension != p.dimension:
+        raise DiscretumError("dimension mismatch: %d vs %d"
+                             % (q.dimension, p.dimension))
+    return q.bands[1], p.bands[1]
+
+
+def _commutator_bands(q, p):
+    """Diagonal / i and band 2 of qp - pq, from the bands a of q and b of p:
+    with x_j = a_j conj(b_j), entry (j, j) is 2i (Im x_j - Im x_{j-1}), entry
+    (j, j+2) is a_j b_{j+1} - b_j a_{j+1}, and band -2 is minus its conjugate."""
+    a, b = _band_pair(q, p)
+    diag = 2.0 * np.diff((a * b.conj()).imag, prepend=0.0, append=0.0)
+    return diag, a[:-1] * b[1:] - b[:-1] * a[1:]
 
 
 def commutator_defect(q, p, hbar=1.0):
@@ -205,17 +197,12 @@ def commutator_defect(q, p, hbar=1.0):
     Returns (max_defect, corner): max_defect is the worst of the first
     N-1 diagonal deviations and every off-diagonal magnitude; corner is the
     (N-1, N-1) entry, which for the ladder construction equals
-    -i*hbar*(N-1).
+    -i*hbar*(N-1).  O(N), from the bands.
     """
-    if q.dimension != p.dimension:
-        raise DiscretumError("dimension mismatch: %d vs %d"
-                             % (q.dimension, p.dimension))
-    comm = q.matrix @ p.matrix - p.matrix @ q.matrix
-    diag = np.diag(comm)
-    off = comm - np.diag(diag)
-    max_defect = float(max(np.max(np.abs(diag[:-1] - 1j * hbar)),
-                           np.max(np.abs(off))))
-    return max_defect, complex(diag[-1])
+    diag, band = _commutator_bands(q, p)
+    max_defect = max(np.max(np.abs(diag[:-1] - hbar)),
+                     np.max(np.abs(band), initial=0.0))
+    return float(max_defect), complex(0.0, diag[-1])
 
 
 def real_form_defect(q, p, h=1.0):
@@ -225,24 +212,44 @@ def real_form_defect(q, p, h=1.0):
     this is large (h*sqrt(2) per entry for hbar = h); reported for
     comparison against the standard i*hbar form, never used as a check.
     """
-    comm = p.matrix @ q.matrix - q.matrix @ p.matrix
-    return float(np.max(np.abs(np.diag(comm)[:-1] - h)))
+    diag, _ = _commutator_bands(q, p)
+    return float(np.max(np.hypot(diag[:-1], h)))
 
 
 def oscillator_hamiltonian(q, p, m, omega):
-    """H = p^2/(2m) + (1/2) m omega^2 q^2 from the given matrices."""
-    if q.dimension != p.dimension:
-        raise DiscretumError("dimension mismatch: %d vs %d"
-                             % (q.dimension, p.dimension))
-    h = (p.matrix @ p.matrix) / (2.0 * m) \
-        + 0.5 * m * omega**2 * (q.matrix @ q.matrix)
-    return OperatorMatrix(h, "hamiltonian")
+    """H = p^2/(2m) + (1/2) m omega^2 q^2 from the bands; raises if H overflows."""
+    q_band, p_band = _band_pair(q, p)
+
+    def square(a):  # bands 0 and 2 of A @ A, for A with band 1 a
+        norm2 = (a * a.conj()).real
+        return (np.append(norm2, 0.0) + np.insert(norm2, 0, 0.0),
+                (a[:-1] * a[1:]).real)
+
+    # 0.5*m*omega**2 overflows long before H does (m = omega = 1e150): apply
+    # omega's power of two last, exactly, so each entry rounds as before.
+    frac, exp = math.frexp(omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = {k: 0.5 * p2 / m + np.ldexp(0.5 * m * frac**2 * q2, 2 * exp)
+                 for k, p2, q2 in zip((0, 2), square(p_band), square(q_band))}
+    if not all(np.isfinite(band).all() for band in bands.values()):
+        raise DiscretumError("oscillator Hamiltonian overflows for N=%d, "
+                             "m=%r, omega=%r" % (q.dimension, m, omega))
+    return OperatorMatrix(bands, "hamiltonian")
+
+
+def _levels(h, n):
+    """Ascending eigenvalues of H's leading n x n block: bands 0 and 2 couple
+    equal parities only, so it splits into two real tridiagonal blocks."""
+    diag, band = h.bands[0][:n], h.bands[2][:max(n - 2, 0)]
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(np.diag(diag[s::2]) + np.diag(band[s::2], -1))
+        for s in range(min(n, 2))]))
 
 
 def ground_energy(q, p, m, omega):
     """Smallest eigenvalue of p^2/(2m) + (1/2) m omega^2 q^2."""
     h = oscillator_hamiltonian(q, p, m, omega)
-    return float(np.linalg.eigvalsh(h.matrix).min())
+    return float(_levels(h, h.dimension)[0])
 
 
 def oscillator_spectrum(n_levels, m, omega, hbar=1.0):
@@ -254,8 +261,7 @@ def oscillator_spectrum(n_levels, m, omega, hbar=1.0):
     block is exactly diagonal with the untruncated energies.
     """
     q, p = build_qp_matrices(n_levels + 1, m, omega, hbar)
-    h = oscillator_hamiltonian(q, p, m, omega).matrix[:n_levels, :n_levels]
-    return np.sort(np.linalg.eigvalsh(h))
+    return _levels(oscillator_hamiltonian(q, p, m, omega), n_levels)
 
 
 @dataclass(frozen=True)

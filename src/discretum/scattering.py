@@ -207,9 +207,7 @@ def kmc_run(grid, initial, table, n_events, seed, mode="all"):
     def applicable():  # ascending indices of the pairs that can fire
         return (np.minimum(counts[in_a], counts[in_b]) >= need).nonzero()[0]
 
-    ev_rec = np.empty(n_events, dtype=np.int64)
-    dir_rec = np.empty(n_events, dtype=np.int64)
-    drift_rec = np.empty(n_events, dtype=np.int64)
+    ev_rec, dir_rec, drift_rec = np.empty((3, n_events), dtype=np.int64)
     energy_rec = np.empty(n_events, dtype=np.float64)
 
     rng = np.random.default_rng(seed)
@@ -239,10 +237,7 @@ def kmc_run(grid, initial, table, n_events, seed, mode="all"):
 
     counts.setflags(write=False)
     return KmcTrace(event_indices=keep[ev_rec[:applied]],
-                    directions=dir_rec[:applied],
-                    drifts=drift_rec[:applied],
-                    energies=energy_rec[:applied],
-                    status=status,
+                    directions=dir_rec[:applied], drifts=drift_rec[:applied],
+                    energies=energy_rec[:applied], status=status,
                     initial_drift=initial.drift,
-                    initial_energy=initial.total_energy,
-                    final_counts=counts)
+                    initial_energy=initial.total_energy, final_counts=counts)

@@ -36,6 +36,18 @@ def run_cli(*argv):
     return status, out.getvalue(), err.getvalue()
 
 
+def dense_band_matrix(op):
+    """Dense matrix of a Hermitian band OperatorMatrix, entry by entry:
+    band k fills superdiagonal k and its conjugate subdiagonal k."""
+    n = op.dimension
+    mat = np.zeros((n, n), dtype=complex)
+    for k, band in op.bands.items():
+        for j, value in enumerate(band):
+            mat[j, j + k] = value
+            mat[j + k, j] = np.conj(value)
+    return mat
+
+
 def random_basis_matrix(rng, dim):
     """Draw a random, comfortably non-degenerate basis matrix (rows are vectors).
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -144,6 +146,78 @@ def test_usage_error_no_command():
     assert status == 2 and "usage" in err
 
 
+# ----------------------------------------------------------- cached parser
+
+def test_parser_built_once_and_not_at_import():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import discretum, discretum.cli as cli\n"
+        "print(cli._parser.cache_info().misses)\n"
+        "for argv in (['planck'], ['cutoff'], ['processes', '--n', '4']):\n"
+        "    cli.parse_args(argv)\n"
+        "print(cli._parser.cache_info().misses)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+def test_parses_give_independent_namespaces():
+    from discretum import cli
+
+    fresh = cli._parser.__wrapped__  # the uncached builder
+    runs = [["processes", "--n", "17", "--kappa", "2.5", "--output", "x"],
+            ["thermalize", "--mode", "normal", "--seed", "3"],
+            ["processes"], ["dispersion", "--q-samples", "5"], ["thermalize"],
+            ["commutator", "--N", "9"], ["fold", "--basis", "b", "--k=-1"]]
+    seen = []
+    for argv in runs:
+        got = cli.parse_args(argv)
+        assert vars(got) == vars(fresh().parse_args(argv))
+        assert all(got is not other for other in seen)
+        seen.append(got)
+    # no value set by an earlier parse shows up in a later one
+    assert vars(seen[2]) == vars(fresh().parse_args(["processes"]))
+    assert seen[2].n == 8 and seen[2].kappa == 1.0 and seen[2].output == "-"
+    assert seen[4].mode == "all" and seen[4].seed == 0
+    assert not hasattr(seen[4], "q_samples")
+
+
+def _parse_with(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            status = None
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+HELP_AND_USAGE = [
+    ["--help"], [], ["transmogrify"], ["processes", "--n", "x"],
+    ["processes", "--bogus"], ["fold"], ["thermalize", "--mode", "weird"],
+    ["commutator", "--N"],
+] + [[sub, "--help"] for sub in ("fold", "processes", "thermalize",
+                                 "simulate", "dispersion", "cutoff",
+                                 "commutator", "planck")]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE,
+                         ids=[" ".join(a) or "empty" for a in HELP_AND_USAGE])
+def test_help_and_usage_match_a_fresh_parser(argv):
+    """--help and usage errors give the same bytes and status from the
+    cached tree, every time, as from a tree built for this one call."""
+    from discretum import cli
+
+    expected = _parse_with(cli._parser.__wrapped__(), argv)
+    assert expected[0] in (0, 2) and (expected[1] or expected[2])
+    assert run_cli(*argv) == expected
+    assert run_cli(*argv) == expected
+
+
 # -------------------------------------------------------------- processes
 
 def test_processes_table_matches_library():
@@ -212,11 +286,19 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
     (("cutoff", "--Eb-eV", "nan"), "E_b must be a finite number, got nan"),
     (("cutoff", "--mp-MeV", "nan"), "m_p must be a finite number, got nan"),
     (("planck", "--a", "nan"), "spacing must be a finite number, got nan"),
+    (("dispersion", "--q-samples", "3", "--a", "1e-320"),
+     "zone edge pi/a must be a finite number, got inf"),
+    (("commutator", "--N", "100000000"),
+     "truncation dimension must be in [2, 4096], got 100000000"),
+    (("commutator", "--N", "256", "--hbar", "1e300", "--m", "1e-5",
+      "--omega", "1e7"),
+     "oscillator Hamiltonian overflows for N=256, m=1e-05, omega=10000000.0"),
 ], ids=["dispersion-omega-inf", "processes-omega-inf", "processes-omega-0",
         "commutator-hbar", "commutator-m", "commutator-m-omega",
         "commutator-omega", "commutator-q-scale", "commutator-p-scale",
         "cutoff-stated", "cutoff-Eb", "cutoff-mp",
-        "planck-a"])
+        "planck-a", "dispersion-zone-edge", "commutator-N-cap",
+        "commutator-H-overflow"])
 def test_numeric_boundary_exits_2(argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way
@@ -547,15 +629,31 @@ def test_simulate_stability_warning_on_stderr(tmp_path):
     assert out.startswith("t,E_total")
     assert "warning:" in err
     assert sum(line.startswith("warning: dt") for line in err.splitlines()) == 1
-    # stderr does not depend on what an earlier in-process run cached
+    # stderr does not depend on what an earlier in-process run cached; a run
+    # that blows up exits 2 with its one error line (no warning lines)
     unstable = write_config(tmp_path, {
         "n_sites": 8, "steps": 1000, "stride": 500, "dt": 1.0,
         "init": {"type": "random", "seed": 1},
     })
     first = run_cli("simulate", "--config", unstable)
     assert first == run_cli("simulate", "--config", unstable)
-    assert sum(line.startswith("warning: dt")
-               for line in first[2].splitlines()) == 1
+    assert first[:2] == (2, "") and len(first[2].splitlines()) == 1
+    assert first[2].startswith("discretum simulate: row at t = 500.0 is not "
+                               "finite (omega_max*dt = 2, stable below 1.57)")
+
+
+@pytest.mark.parametrize("payload,t_blown", [
+    ({"n_sites": 8, "steps": 1000, "dt": 1.0}, "177.0"),
+    ({"n_sites": 8, "steps": 10, "kappa": 1e308}, "0.0"),
+], ids=["dt-beyond-stable", "kappa-overflows-energy"])
+def test_simulate_blown_up_run_exits_2(tmp_path, payload, t_blown):
+    cfg = write_config(tmp_path, dict(payload,
+                                      init={"type": "random", "seed": 1}))
+    status, out, err = run_cli("simulate", "--config", cfg)
+    assert (status, out) == (2, "")
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert err.startswith("discretum simulate: row at t = %s is not finite"
+                          % t_blown)
 
 
 def test_simulate_config_validation(tmp_path):
@@ -669,6 +767,19 @@ def test_commutator_json_matches_library():
 def test_commutator_rejects_tiny_truncation():
     status, _, err = run_cli("commutator", "--N", "1")
     assert status == 2 and "discretum commutator:" in err
+
+
+def test_commutator_large_scales_give_half_quantum():
+    """m*omega^2 overflows here, but H = hbar*omega*(n + 1/2) does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli("commutator", "--N", "256", "--m", "1e150",
+                                   "--omega", "1e150")
+    assert (status, err) == (0, "")
+    data = json.loads(out)
+    assert data["corner"] == {"re": 0, "im": -255}
+    assert 0 <= data["max_defect"] < 1e-12
+    assert abs(data["ground_energy"] - 5e149) <= 2 * np.spacing(5e149)
 
 
 # ------------------------------------------------------------------ planck

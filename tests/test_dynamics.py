@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dft_mode_weights, zero_crossing_frequency
 from discretum import (
@@ -148,6 +150,31 @@ def test_advance_matches_repeated_step(n_sites, kappa, m, a):
             advance(s, dt, bad)
     with pytest.warns(StabilityWarning):
         advance(s, STABILITY_LIMIT / p.omega_max, 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_sites=st.integers(2, 48), kappa=st.floats(0.1, 10.0),
+       m=st.floats(0.1, 10.0), a=st.floats(0.1, 10.0),
+       dt_factor=st.floats(1e-3, 1.5), n=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_advance_matches_repeated_step_property(n_sites, kappa, m, a,
+                                                dt_factor, n, seed):
+    """advance(n) and n calls of step agree to rounding for any stable dt
+    (omega_max*dt below the warning bound): error grows at most linearly."""
+    p = OscillatorParams(kappa=kappa, m=m, a=a)
+    dt = dt_factor / p.omega_max
+    fast = random_state(n_sites, p, seed=seed)
+    ref = fast.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        advance(fast, dt, n)
+        for _ in range(n):
+            step(ref, dt)
+    scale = max(np.max(np.abs(ref.u)), np.max(np.abs(ref.v)) / p.omega_max)
+    tol = 1e-14 * (n + 1) * scale
+    assert np.max(np.abs(fast.u - ref.u)) <= tol
+    assert np.max(np.abs(fast.v - ref.v)) / p.omega_max <= tol
+    assert fast.t == ref.t
 
 
 def test_stability_limit_is_the_trace_bound():
@@ -376,6 +403,22 @@ def test_run_sim_plane_wave_end_to_end():
     assert np.max(np.abs(res.total_energy - e0)) / e0 < 1e-8
     off = res.mode_energies.sum(axis=1) - res.mode_energies[:, 3] - res.mode_energies[:, 13]
     assert np.max(off / res.total_energy) < 1e-10
+
+
+def test_run_sim_raises_at_first_non_finite_row():
+    unstable = SimConfig(n_sites=8, steps=1000, dt=1.0,
+                         init=InitSpec("random", seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # StabilityWarning, numpy overflow
+        with pytest.raises(DiscretumError,
+                           match=r"row at t = 177\.0 is not finite"):
+            run_sim(unstable)
+    # the initial row already overflows: raised before any step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DiscretumError, match=r"row at t = 0\.0 "):
+            run_sim(SimConfig(n_sites=8, steps=10, kappa=1e308,
+                              init=InitSpec("random", seed=1)))
 
 
 def test_run_sim_deterministic():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_basis_matrix
 from discretum import (
@@ -185,6 +187,40 @@ def test_fold_idempotent():
         twice = fold_to_bz(recip, once.k_folded)
         assert twice.g.indices == (0, 0)
         np.testing.assert_allclose(twice.k_folded, once.k_folded, rtol=0, atol=1e-12)
+
+
+fold_cases = dict(dim=st.integers(1, 3), basis_seed=st.integers(0, 2**32 - 1),
+                  k=st.lists(st.floats(-12.0, 12.0), min_size=3, max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(**fold_cases)
+def test_fold_idempotent_property(dim, basis_seed, k):
+    """Folding a first-zone representative returns it with G = 0."""
+    mat = random_basis_matrix(np.random.default_rng(basis_seed), dim)
+    recip = reciprocal_basis(LatticeBasis(vectors=mat))
+    once = fold_to_bz(recip, k[:dim])
+    twice = fold_to_bz(recip, once.k_folded)
+    assert twice.g.indices == (0,) * dim
+    np.testing.assert_array_equal(twice.k_folded, once.k_folded)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(shift=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       **fold_cases)
+def test_fold_translation_invariance_property(dim, basis_seed, k, shift):
+    """k and k + G fold to the same representative; the removed G differs
+    by exactly the shift."""
+    mat = random_basis_matrix(np.random.default_rng(basis_seed), dim)
+    recip = reciprocal_basis(LatticeBasis(vectors=mat))
+    k = np.array(k[:dim])
+    g = g_vector(recip, *shift)
+    a = fold_to_bz(recip, k)
+    b = fold_to_bz(recip, k + g.cartesian)
+    scale = 1.0 + float(np.max(np.abs(k)))
+    np.testing.assert_allclose(a.k_folded, b.k_folded, rtol=0,
+                               atol=1e-12 * scale)
+    assert np.array_equal(np.subtract(b.g.indices, a.g.indices), shift[:dim])
 
 
 def test_folded_vector_is_shortest_image():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import dense_band_matrix
 from discretum import (
     CONSTANTS,
     DiscretumError,
@@ -23,6 +24,7 @@ from discretum import (
     real_form_defect,
     reduce_mode_hamiltonian,
 )
+from discretum.quantum_bridge import MAX_DIMENSION
 
 P = NcExpression.symbol("p")
 Q = NcExpression.symbol("q")
@@ -101,29 +103,48 @@ def test_reduction_repr_is_stable():
 
 
 def test_operator_matrix_validation():
+    # a complex diagonal is the one way a band matrix can fail Hermiticity
+    with pytest.raises(DiscretumError, match="not Hermitian"):
+        OperatorMatrix({0: [0.0, 1j], 2: []}, "hamiltonian")
+    # position and momentum are tridiagonal with a zero diagonal
     with pytest.raises(DiscretumError):
-        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), "position")
+        OperatorMatrix({0: [1.0, 0.0], 1: [1.0]}, "position")
     with pytest.raises(DiscretumError):
-        OperatorMatrix(np.eye(2), "banana")
+        OperatorMatrix({1: [1.0]}, "banana")
+    # bands of one square matrix: band k has N - k entries
     with pytest.raises(DiscretumError):
-        OperatorMatrix(np.ones((2, 3)), "position")
-    # the hamiltonian role carries no Hermiticity gate
-    OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), "hamiltonian")
+        OperatorMatrix({0: np.ones(2), 2: np.ones(2)}, "hamiltonian")
+    with pytest.raises(DiscretumError):
+        OperatorMatrix({1: np.ones((2, 3))}, "position")
+    # the hamiltonian role holds a real diagonal and band 2
+    h = OperatorMatrix({0: [1.0, 2.0, 3.0], 2: [0.5]}, "hamiltonian")
+    assert h.dimension == 3
+    np.testing.assert_array_equal(
+        dense_band_matrix(h),
+        [[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    # the stored bands are read-only copies
+    band = np.ones(3)
+    q = OperatorMatrix({1: band}, "position")
+    band[0] = 7.0
+    assert q.bands[1][0] == 1.0 and not q.bands[1].flags.writeable
 
 
 def test_build_qp_smallest_truncation():
     q, p = build_qp_matrices(2, 1.0, 1.0)
     r = 1.0 / math.sqrt(2.0)
-    np.testing.assert_allclose(q.matrix, [[0, r], [r, 0]], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(p.matrix, [[0, -1j * r], [1j * r, 0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_band_matrix(q), [[0, r], [r, 0]],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_band_matrix(p), [[0, -1j * r], [1j * r, 0]],
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 4, 16, 64, 256])
 def test_build_qp_structure(n):
     q, p = build_qp_matrices(n, 1.3, 0.7)
-    assert q.hermiticity_defect() == 0.0
-    assert p.hermiticity_defect() == 0.0
-    for mat in (q.matrix, p.matrix):
+    assert q.dimension == p.dimension == n
+    assert sorted(q.bands) == sorted(p.bands) == [1]
+    for mat in map(dense_band_matrix, (q, p)):
+        assert np.max(np.abs(mat - mat.conj().T)) == 0.0
         assert np.all(np.diag(mat) == 0)
         off = np.triu(mat, 2)
         assert np.max(np.abs(off)) == 0.0
@@ -136,6 +157,56 @@ def test_build_qp_validation():
         build_qp_matrices(4, -1.0, 1.0)
     with pytest.raises(DiscretumError):
         build_qp_matrices(4, 1.0, 1.0, hbar=0.0)
+
+
+def test_build_qp_dimension_cap():
+    with pytest.raises(DiscretumError, match=r"\[2, 4096\], got 4097"):
+        build_qp_matrices(MAX_DIMENSION + 1, 1.0, 1.0)
+    # the cap is checked before anything is allocated
+    with pytest.raises(DiscretumError):
+        build_qp_matrices(10**18, 1.0, 1.0)
+    q, p = build_qp_matrices(MAX_DIMENSION, 1.0, 1.0)
+    assert q.dimension == MAX_DIMENSION
+    assert q.bands[1].shape == p.bands[1].shape == (MAX_DIMENSION - 1,)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bands_match_dense_products(seed):
+    """Commutator and Hamiltonian from the bands against dense matmuls."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    m, omega, hbar = 10 ** rng.uniform(-2, 2, 3)
+    q, p = build_qp_matrices(n, m, omega, hbar)
+    qd, pd = dense_band_matrix(q), dense_band_matrix(p)
+    comm = qd @ pd - pd @ qd
+    defect, corner = commutator_defect(q, p, hbar)
+    scale = hbar * n
+    assert abs(corner - comm[-1, -1]) <= 1e-15 * scale
+    off = comm - np.diag(np.diag(comm))
+    dense_defect = max(np.max(np.abs(np.diag(comm)[:-1] - 1j * hbar)),
+                       np.max(np.abs(off)))
+    assert abs(defect - dense_defect) <= 1e-14 * scale
+    h = oscillator_hamiltonian(q, p, m, omega)
+    hd = pd @ pd / (2 * m) + 0.5 * m * omega**2 * (qd @ qd)
+    np.testing.assert_allclose(dense_band_matrix(h), hd, rtol=0,
+                               atol=1e-14 * hbar * omega * n)
+    lowest = np.linalg.eigvalsh(hd).min()
+    assert abs(ground_energy(q, p, m, omega) - lowest) <= 4e-16 * lowest
+
+
+def test_hamiltonian_scales_beyond_the_coefficient_range():
+    """0.5*m*omega**2 overflows, H = hbar*omega*(n + 1/2) stays finite."""
+    q, p = build_qp_matrices(64, 1e150, 1e150)
+    with np.errstate(all="raise"):
+        got = ground_energy(q, p, 1e150, 1e150)
+    assert abs(got - 5e149) <= 2 * np.spacing(5e149)
+
+
+def test_hamiltonian_overflow_raises():
+    q, p = build_qp_matrices(256, 1e-5, 1e7, hbar=1e300)
+    with np.errstate(all="raise"):
+        with pytest.raises(DiscretumError, match="overflows"):
+            oscillator_hamiltonian(q, p, 1e-5, 1e7)
 
 
 @pytest.mark.parametrize("n", [2, 4, 16, 64, 256])
@@ -175,9 +246,10 @@ def test_hamiltonian_is_diagonal_with_corner_anomaly():
     q, p = build_qp_matrices(6, 1.0, 1.0)
     h = oscillator_hamiltonian(q, p, 1.0, 1.0)
     assert h.role == "hamiltonian"
-    off = h.matrix - np.diag(np.diag(h.matrix))
+    mat = dense_band_matrix(h)
+    off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-13
-    np.testing.assert_allclose(np.diag(h.matrix).real,
+    np.testing.assert_allclose(np.diag(mat).real,
                                [0.5, 1.5, 2.5, 3.5, 4.5, 2.5], rtol=1e-12)
 
 
