@@ -16,9 +16,9 @@ import warnings
 import numpy as np
 
 from . import dynamics, lattice, quantum_bridge, scattering
-from .dispersion import (CONSTANTS, PROTON_MASS, ModeGrid, OscillatorParams,
+from .dispersion import (CONSTANTS, ModeGrid, OscillatorParams,
                          chain_dispersion, compare_cutoffs)
-from .errors import DiscretumError, require_finite
+from .errors import DiscretumError, require_finite, require_int
 
 
 def emit_json(obj):
@@ -86,15 +86,14 @@ def _cmd_fold(args):
                       "g_indices": list(folded.g.indices)}) + "\n"
 
 
-def _grid(args):
-    params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
-    return ModeGrid(args.n, params)
+def _channels(args):
+    grid = ModeGrid(args.n, OscillatorParams(args.kappa, args.m, args.a))
+    return grid, scattering.enumerate_three_phonon(
+        grid, args.tol * grid.params.omega_max)
 
 
 def _cmd_processes(args):
-    grid = _grid(args)
-    table = scattering.enumerate_three_phonon(
-        grid, args.tol * grid.params.omega_max)
+    _, table = _channels(args)
     kind = np.where(table.g != 0, "umklapp", "normal")
     rows = zip(table.n1.tolist(), table.n2.tolist(), table.n3.tolist(),
                table.g.tolist(), table.delta_omega.tolist(), kind.tolist())
@@ -103,9 +102,7 @@ def _cmd_processes(args):
 
 
 def _cmd_thermalize(args):
-    grid = _grid(args)
-    table = scattering.enumerate_three_phonon(
-        grid, args.tol * grid.params.omega_max)
+    grid, table = _channels(args)
     mode = {"all": "all", "normal": "normal_only"}[args.mode]
     initial = scattering.biased_population(grid, args.phonons)
     trace = scattering.kmc_run(grid, initial, table, args.events, args.seed,
@@ -136,9 +133,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_dispersion(args):
-    if args.q_samples < 0:
-        raise DiscretumError(
-            "--q-samples must be >= 0, got %d" % args.q_samples)
+    require_int("--q-samples", args.q_samples, minimum=0)
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
     edge = math.pi / args.a
     require_finite("zone edge pi/a", edge)
@@ -196,6 +191,9 @@ def _parser():
         description="Harmonic-lattice toolkit: zone folding, chain dynamics, "
                     "phonon scattering, oscillator operator checks.")
     subs = parser.add_subparsers(dest="command", required=True)
+    tol = dict(type=float, default=scattering.DEFAULT_TOL_FACTOR,
+               help="frequency tolerance as a fraction of omega_max "
+                    "(default %g)" % scattering.DEFAULT_TOL_FACTOR)
 
     sub = subs.add_parser("fold", help="fold a wave vector into the first zone")
     sub.add_argument("--basis", required=True,
@@ -206,17 +204,13 @@ def _parser():
 
     sub = subs.add_parser("processes", help="enumerate three-phonon channels")
     sub.add_argument("--n", type=int, default=8, help="grid sites (default 8)")
-    sub.add_argument("--tol", type=float, default=scattering.DEFAULT_TOL_FACTOR,
-                     help="frequency tolerance as a fraction of omega_max "
-                          "(default %g)" % scattering.DEFAULT_TOL_FACTOR)
+    sub.add_argument("--tol", **tol)
     _add_chain_flags(sub)
     sub.set_defaults(func=_cmd_processes)
 
     sub = subs.add_parser("thermalize", help="run the Monte Carlo phonon gas")
     sub.add_argument("--n", type=int, default=32, help="grid sites (default 32)")
-    sub.add_argument("--tol", type=float, default=scattering.DEFAULT_TOL_FACTOR,
-                     help="frequency tolerance as a fraction of omega_max "
-                          "(default %g)" % scattering.DEFAULT_TOL_FACTOR)
+    sub.add_argument("--tol", **tol)
     sub.add_argument("--events", type=int, default=10000,
                      help="event budget (default 10000)")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DiscretumError, SubRestMassError, require_finite,
-                     require_positive)
+                     require_int, require_positive)
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,13 @@ class OscillatorParams:
 
 
 def oscillator_frequency(params):
-    """Single-oscillator frequency sqrt(kappa/m)."""
-    return math.sqrt(params.kappa / params.m)
+    """Single-oscillator frequency sqrt(kappa/m), half of omega_max."""
+    return 0.5 * params.omega_max
 
 
 def sound_speed(params):
     """Long-wavelength acoustic speed a*sqrt(kappa/m)."""
-    return params.a * math.sqrt(params.kappa / params.m)
+    return params.a * (0.5 * params.omega_max)
 
 
 def chain_dispersion(params, q):
@@ -92,14 +92,14 @@ class ModeGrid:
     `labels` runs in ascending order.  `dft_labels` lists the same set in
     DFT bin order (bin j holds n = j for j <= N/2 and n = j - N above), the
     row order of the kernel chi(l;k_n) = exp(i 2 pi n l/N)/sqrt(N).
+    `n_sites` must be an integer >= 2; a float or bool is rejected.
     """
 
     n_sites: int
     params: OscillatorParams
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise DiscretumError("mode grid needs at least 2 sites")
+        require_int("n_sites", self.n_sites, minimum=2)
         if not isinstance(self.params, OscillatorParams):
             raise DiscretumError(
                 "mode grid needs OscillatorParams, got %r" % (self.params,))
@@ -108,6 +108,14 @@ class ModeGrid:
     def labels(self):
         n = self.n_sites
         return np.arange(-((n - 1) // 2), n // 2 + 1)
+
+    def row(self, n):
+        """Index of label n in `labels`; raises unless n is an integer label."""
+        require_int("label", n)
+        row = n + (self.n_sites - 1) // 2  # labels[0] is -((N - 1) // 2)
+        if not 0 <= row < self.n_sites:
+            raise DiscretumError("label %r outside the grid" % (n,))
+        return row
 
     @property
     def dft_labels(self):

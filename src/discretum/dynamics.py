@@ -18,9 +18,8 @@ position-space total for any mass.
 """
 
 import math
-import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .dispersion import (ModeGrid, OscillatorParams, chain_dispersion,
                          mode_wave_number)
 from .errors import (DiscretumError, StabilityWarning, require_finite,
-                     require_positive)
+                     require_int, require_positive)
 
 # Forest-Ruth composition coefficients (4th order, 3 force evaluations).
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -39,13 +38,6 @@ _FR_KICK = (_W1, _W0, _W1)
 # The composition above is stable on the harmonic chain for
 # omega_max*dt below ~1.574 (propagator trace bound); warn from here on.
 STABILITY_LIMIT = 1.57
-
-
-@lru_cache(maxsize=32)
-def _wrap_indices(n):
-    ip1 = np.arange(1, n + 1) % n
-    im1 = np.arange(-1, n - 1) % n
-    return ip1, im1
 
 
 @dataclass
@@ -84,11 +76,9 @@ def init_plane_wave(n_sites, params, mode_index, amplitude):
 
     u_l = U0*cos(k_n l a) and v_l = U0*omega(k_n)*sin(k_n l a), the t=0
     slice of the real travelling wave U0*cos(omega t - k_n l a), which is an
-    exact solution of the chain.  Valid labels are -N/2 < n <= N/2.
+    exact solution of the chain.  Valid labels are integers -N/2 < n <= N/2.
     """
-    if not (-n_sites / 2 < mode_index <= n_sites / 2):
-        raise DiscretumError(
-            "mode index %d outside (-%d/2, %d/2]" % (mode_index, n_sites, n_sites))
+    ModeGrid(n_sites, params).row(mode_index)  # raises unless it is a label
     k = mode_wave_number(n_sites, params.a, mode_index)
     omega = chain_dispersion(params, k)
     phase = k * params.a * np.arange(n_sites)
@@ -106,10 +96,9 @@ def random_state(n_sites, params, amplitude=1.0, seed=0):
 
 def accelerations(state):
     """(kappa/m)*(u_{l+1} - 2 u_l + u_{l-1}) with periodic neighbours."""
-    ip1, im1 = _wrap_indices(state.n_sites)
     u = state.u
     return (state.params.kappa / state.params.m) * (
-        u.take(ip1) - 2.0 * u + u.take(im1))
+        np.roll(u, -1) - 2.0 * u + np.roll(u, 1))
 
 
 def _check_dt(params, dt):
@@ -131,11 +120,11 @@ def step(state, dt):
     """
     _check_dt(state.params, dt)
     u, v = state.u, state.v
-    ip1, im1 = _wrap_indices(state.n_sites)
     km = state.params.kappa / state.params.m
     for i in range(3):
         u += v * (_FR_DRIFT[i] * dt)
-        v += (u.take(ip1) + u.take(im1) - u - u) * (_FR_KICK[i] * dt * km)
+        ring = np.concatenate((u[-1:], u, u[:1]))  # np.roll is 4x slower here
+        v += (ring[2:] + ring[:-2] - u - u) * (_FR_KICK[i] * dt * km)
     u += v * (_FR_DRIFT[3] * dt)
     state.t += dt
     return state
@@ -181,7 +170,7 @@ def advance(state, dt, n):
     StabilityWarning; t is accumulated by the same repeated addition.
     """
     _check_dt(state.params, dt)
-    _require_int("step count", n, minimum=0)
+    require_int("step count", n, minimum=0)
     m = _propagator(state.n_sites, state.params, dt, n)
     uv = np.fft.rfft(np.stack((state.u, state.v)))
     state.u[:], state.v[:] = np.fft.irfft((m * uv).sum(axis=1), state.n_sites)
@@ -192,8 +181,7 @@ def advance(state, dt, n):
 
 def total_energy(state):
     """Kinetic plus spring energy: sum 0.5 m v^2 + sum 0.5 kappa (u_{l+1}-u_l)^2."""
-    ip1, _ = _wrap_indices(state.n_sites)
-    stretch = state.u.take(ip1) - state.u
+    stretch = np.roll(state.u, -1) - state.u
     return float(0.5 * state.params.m * np.dot(state.v, state.v)
                  + 0.5 * state.params.kappa * np.dot(stretch, stretch))
 
@@ -209,14 +197,13 @@ class ModeAmplitudes:
 
     def __post_init__(self):
         for name in ("labels", "q", "p", "omega"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def reality_defect(self):
         """Max deviation from q(-k) = q(k)* and p(-k) = p(k)*."""
-        n = self.labels.size
-        conj_bin = (-np.asarray(self.labels)) % n
+        conj_bin = -self.labels % self.labels.size
         return float(max(np.max(np.abs(self.q[conj_bin] - np.conj(self.q))),
                          np.max(np.abs(self.p[conj_bin] - np.conj(self.p)))))
 
@@ -249,11 +236,14 @@ def mode_energies(amps):
     return 0.5 * (np.abs(amps.p) ** 2 + amps.omega**2 * np.abs(amps.q) ** 2)
 
 
-def _require_int(name, value, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DiscretumError("%s must be an integer, got %r" % (name, value))
-    if minimum is not None and value < minimum:
-        raise DiscretumError("%s must be >= %d, got %d" % (name, minimum, value))
+def _check_keys(cls, what, d):
+    """Reject keys of `d` that name no field of `cls` or miss a required one."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DiscretumError("unknown %s key(s): %s" % (what, ", ".join(unknown)))
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise DiscretumError("%s needs %r" % (what, f.name))
 
 
 @dataclass(frozen=True)
@@ -265,23 +255,17 @@ class InitSpec:
     amplitude: float = 1.0
     seed: int = 0
 
-    _KEYS = ("type", "mode_index", "amplitude", "seed")
-
     def __post_init__(self):
         if self.type not in ("plane_wave", "random"):
             raise DiscretumError(
                 "init type must be plane_wave or random, got %r" % self.type)
-        _require_int("mode_index", self.mode_index)
-        _require_int("seed", self.seed, minimum=0)
+        require_int("mode_index", self.mode_index)
+        require_int("seed", self.seed, minimum=0)
         require_finite("amplitude", self.amplitude)
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - set(cls._KEYS)
-        if unknown:
-            raise DiscretumError("unknown init key(s): %s" % ", ".join(sorted(unknown)))
-        if "type" not in d:
-            raise DiscretumError("init block needs a 'type'")
+        _check_keys(cls, "init", d)
         return cls(**d)
 
 
@@ -298,12 +282,10 @@ class SimConfig:
     dt: float = None
     stride: int = 1
 
-    _KEYS = ("n_sites", "steps", "init", "kappa", "m", "a", "dt", "stride")
-
     def __post_init__(self):
-        _require_int("n_sites", self.n_sites, minimum=2)
-        _require_int("steps", self.steps, minimum=0)
-        _require_int("stride", self.stride, minimum=1)
+        require_int("n_sites", self.n_sites, minimum=2)
+        require_int("steps", self.steps, minimum=0)
+        require_int("stride", self.stride, minimum=1)
         self.params  # builds OscillatorParams: checks kappa, m, a, omega_max
         if self.dt is not None:
             require_positive("dt", self.dt)
@@ -320,18 +302,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - set(cls._KEYS)
-        if unknown:
-            raise DiscretumError(
-                "unknown config key(s): %s" % ", ".join(sorted(unknown)))
-        for req in ("n_sites", "steps", "init"):
-            if req not in d:
-                raise DiscretumError("config needs %r" % req)
+        _check_keys(cls, "config", d)
         if not isinstance(d["init"], dict):
             raise DiscretumError("'init' must be an object")
-        d = dict(d)
-        d["init"] = InitSpec.from_dict(d["init"])
-        return cls(**d)
+        return cls(**{**d, "init": InitSpec.from_dict(d["init"])})
 
 
 @dataclass(frozen=True)

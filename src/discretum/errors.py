@@ -32,3 +32,11 @@ def require_positive(name, value):
     require_finite(name, value)
     if not value > 0:
         raise DiscretumError("%s must be > 0, got %r" % (name, value))
+
+
+def require_int(name, value, minimum=None):
+    """Raise DiscretumError unless `value` is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DiscretumError("%s must be an integer, got %r" % (name, value))
+    if minimum is not None and value < minimum:
+        raise DiscretumError("%s must be >= %d, got %d" % (name, minimum, value))

@@ -6,7 +6,7 @@ A_i . a_j = 2*pi*delta_ij, so every integer combination G = h*A + k*B + l*C
 satisfies exp(i G . rho) = 1 on direct-lattice points rho.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -50,14 +50,13 @@ class LatticeBasis:
     """Direct-lattice basis; rows of `vectors` are the basis vectors."""
 
     vectors: np.ndarray
-    eps: float = EPS_DEGENERATE
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _as_matrix(self.vectors))
         det = np.linalg.det(self.vectors)
-        if abs(det) <= self.eps:
-            raise DegenerateBasisError(
-                "degenerate basis: |det| = %.3e <= %.3e" % (abs(det), self.eps))
+        if abs(det) <= EPS_DEGENERATE:
+            raise DegenerateBasisError("degenerate basis: |det| = %.3e <= %.3e"
+                                       % (abs(det), EPS_DEGENERATE))
 
     @property
     def dim(self):

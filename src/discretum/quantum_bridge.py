@@ -9,13 +9,14 @@ commutator holds on every diagonal entry except the truncation corner.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .dispersion import CONSTANTS
-from .errors import DiscretumError, require_positive
+from .errors import DiscretumError, require_int, require_positive
 
 
 def _collect(pairs):
@@ -158,8 +159,10 @@ def build_qp_matrices(n_dim, m, omega, hbar=1.0):
     """Truncated position/momentum matrices from ladder combinations.
 
     q = sqrt(hbar/(2 m omega)) (A + A+), p = i sqrt(hbar m omega/2) (A+ - A)
-    with A[j, j+1] = sqrt(j+1), each held as its band 1; n_dim <= MAX_DIMENSION.
+    with A[j, j+1] = sqrt(j+1), each held as its band 1.  n_dim is an integer
+    in [2, MAX_DIMENSION]; floats, bools and subnormal scale factors are rejected.
     """
+    require_int("truncation dimension", n_dim)
     if not 2 <= n_dim <= MAX_DIMENSION:
         raise DiscretumError("truncation dimension must be in [2, %d], got %d"
                              % (MAX_DIMENSION, n_dim))
@@ -168,8 +171,10 @@ def build_qp_matrices(n_dim, m, omega, hbar=1.0):
     # Products of finite inputs can still overflow or underflow.
     require_positive("m*omega", m * omega)
     q2, p2 = hbar / (2.0 * m * omega), hbar * m * omega / 2.0
-    require_positive("hbar/(2*m*omega)", q2)
-    require_positive("hbar*m*omega/2", p2)
+    for name, value in (("hbar/(2*m*omega)", q2), ("hbar*m*omega/2", p2)):
+        require_positive(name, value)
+        if value < sys.float_info.min:  # subnormal: its sqrt loses digits
+            raise DiscretumError("%s is subnormal, got %r" % (name, value))
     ladder = np.sqrt(np.arange(1.0, n_dim))
     return (OperatorMatrix({1: math.sqrt(q2) * ladder}, "position"),
             OperatorMatrix({1: -1j * (math.sqrt(p2) * ladder)}, "momentum"))

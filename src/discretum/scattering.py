@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dispersion import ModeGrid
-from .errors import DiscretumError, require_finite
+from .errors import DiscretumError, require_finite, require_int
 
 # Default frequency-residual tolerance as a fraction of omega_max.
 DEFAULT_TOL_FACTOR = 0.05
@@ -82,13 +82,9 @@ class PhononPopulation:
     @classmethod
     def from_counts(cls, grid, mapping):
         """Build from a {label: count} mapping; unlisted labels are empty."""
-        labels = grid.labels
-        counts = np.zeros(labels.size, dtype=np.int64)
-        base = int(labels[0])
+        counts = np.zeros(grid.n_sites, dtype=np.int64)
         for n, c in mapping.items():
-            if not (labels[0] <= n <= labels[-1]):
-                raise DiscretumError("label %r outside the grid" % (n,))
-            counts[int(n) - base] = c
+            counts[grid.row(n)] = c
         return cls(grid, counts)
 
     @property
@@ -100,13 +96,13 @@ class PhononPopulation:
         return int(np.dot(self.counts, self.grid.labels))
 
     def occupation(self, n):
-        return int(self.counts[int(n) - int(self.grid.labels[0])])
+        return int(self.counts[self.grid.row(n)])
 
 
 def biased_population(grid, total, labels=None):
-    """`total` phonons dealt round-robin over `labels` (default 1..N/2)."""
-    if total < 0:
-        raise DiscretumError("phonon count must be >= 0, got %r" % (total,))
+    """`total` phonons dealt round-robin over `labels` (default 1..N/2);
+    `total` must be an integer >= 0, a float or bool is rejected."""
+    require_int("phonon count", total, minimum=0)
     labels = list(grid.labels[grid.labels > 0] if labels is None else labels)
     if total > 0 and not labels:
         raise DiscretumError("cannot deal %d phonons over no labels" % total)
@@ -177,11 +173,12 @@ def kmc_run(grid, initial, table, n_events, seed, mode="all"):
     `table` is a ChannelTable on `grid`.  `mode` 'normal_only' restricts the
     run to its g == 0 rows; 'all' uses every row.  Each channel is usable in
     both directions (merge and split) whenever its input modes are occupied.
+    `n_events` and `seed` must be integers >= 0; floats and bools are rejected.
     """
     if mode not in ("all", "normal_only"):
         raise DiscretumError("mode must be 'all' or 'normal_only', got %r" % mode)
-    if n_events < 0:
-        raise DiscretumError("n_events must be >= 0")
+    require_int("n_events", n_events, minimum=0)
+    require_int("seed", seed, minimum=0)
     keep = (np.arange(len(table)) if mode == "all"
             else np.flatnonzero(table.g == 0))
     if keep.size == 0:

@@ -293,12 +293,18 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
     (("commutator", "--N", "256", "--hbar", "1e300", "--m", "1e-5",
       "--omega", "1e7"),
      "oscillator Hamiltonian overflows for N=256, m=1e-05, omega=10000000.0"),
+    (("commutator", "--N", "16", "--hbar", "2e-150", "--omega", "1e-150",
+      "--m", "1e-10"),
+     "hbar*m*omega/2 is subnormal, got 1e-310"),
+    (("thermalize", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("dispersion", "--q-samples", "-1"), "--q-samples must be >= 0, got -1"),
 ], ids=["dispersion-omega-inf", "processes-omega-inf", "processes-omega-0",
         "commutator-hbar", "commutator-m", "commutator-m-omega",
         "commutator-omega", "commutator-q-scale", "commutator-p-scale",
         "cutoff-stated", "cutoff-Eb", "cutoff-mp",
         "planck-a", "dispersion-zone-edge", "commutator-N-cap",
-        "commutator-H-overflow"])
+        "commutator-H-overflow", "commutator-p-subnormal",
+        "thermalize-seed", "dispersion-q-samples"])
 def test_numeric_boundary_exits_2(argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way

@@ -8,6 +8,7 @@ from discretum import (
     PROTON_MASS,
     CutoffEstimate,
     DiscretumError,
+    ModeGrid,
     OscillatorParams,
     PhysicalConstants,
     SubRestMassError,
@@ -19,7 +20,7 @@ from discretum import (
     oscillator_frequency,
     sound_speed,
 )
-from discretum.errors import require_finite, require_positive
+from discretum.errors import require_finite, require_int, require_positive
 
 
 def test_constants_values():
@@ -224,3 +225,38 @@ def test_custom_constants_object():
     assert toy.hbar == 1.0
     np.testing.assert_allclose(cutoff_momentum(toy, 5.0, 3.0), 4.0, rtol=1e-15)
     np.testing.assert_allclose(lattice_spacing_from_cutoff(toy, 4.0), math.pi / 2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kappa,m,a", [
+    (1.0, 1.0, 1.0), (9.0, 4.0, 0.3), (2.5, 0.7, 3.1), (1e300, 1e-5, 2.0),
+    (1e-300, 3.0, 1e-10),
+])
+def test_frequency_and_speed_equal_the_sqrt_formula(kappa, m, a):
+    """Both are read off omega_max, and halving it is exact."""
+    p = OscillatorParams(kappa=kappa, m=m, a=a)
+    assert oscillator_frequency(p) == math.sqrt(kappa / m)
+    assert sound_speed(p) == a * math.sqrt(kappa / m)
+
+
+def test_require_int():
+    for value in (0, -3, 7, np.int64(4)):
+        require_int("x", value)
+    for value in (1.5, 2.0, True, None, "3", np.float64(2.0)):
+        with pytest.raises(DiscretumError, match="^x must be an integer, got"):
+            require_int("x", value)
+    require_int("x", 2, minimum=2)
+    with pytest.raises(DiscretumError) as info:
+        require_int("x", 1, minimum=2)
+    assert str(info.value) == "x must be >= 2, got 1"
+
+
+@pytest.mark.parametrize("n_sites,message", [
+    (8.5, "n_sites must be an integer, got 8.5"),
+    (8.0, "n_sites must be an integer, got 8.0"),
+    (True, "n_sites must be an integer, got True"),
+    (1, "n_sites must be >= 2, got 1"),
+], ids=["float", "integral-float", "bool", "one"])
+def test_mode_grid_rejects_bad_site_count(n_sites, message):
+    with pytest.raises(DiscretumError) as info:
+        ModeGrid(n_sites, OscillatorParams(kappa=1.0, m=1.0, a=1.0))
+    assert str(info.value) == message

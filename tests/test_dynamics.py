@@ -28,7 +28,8 @@ from discretum import (
     to_modes,
     total_energy,
 )
-from discretum.dynamics import STABILITY_LIMIT, _step_matrix
+from discretum.dynamics import (_FR_DRIFT, _FR_KICK, STABILITY_LIMIT,
+                                _step_matrix)
 
 UNIT = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
 
@@ -68,7 +69,7 @@ def test_init_plane_wave_layout():
 def test_init_plane_wave_index_range():
     init_plane_wave(8, UNIT, 4, 1.0)
     init_plane_wave(8, UNIT, -3, 1.0)
-    for bad in (5, -4, 9):
+    for bad in (5, -4, 9, 1.5, 2.0, True):
         with pytest.raises(DiscretumError):
             init_plane_wave(8, UNIT, bad, 1.0)
 
@@ -427,3 +428,51 @@ def test_run_sim_deterministic():
     b = run_sim(cfg)
     np.testing.assert_array_equal(a.displacements, b.displacements)
     np.testing.assert_array_equal(a.total_energy, b.total_energy)
+
+
+def test_step_matches_index_array_neighbours_bitwise():
+    """np.roll neighbours give the same values in the same operation order
+    as gathering with explicit periodic index arrays."""
+    s = random_state(16, UNIT, seed=3)
+    u, v = s.u.copy(), s.v.copy()
+    ip1, im1 = np.arange(1, 17) % 16, np.arange(-1, 15) % 16
+    np.testing.assert_array_equal(accelerations(s),
+                                  u.take(ip1) - 2.0 * u + u.take(im1))
+    dt = 0.05
+    for _ in range(500):
+        step(s, dt)
+        for i in range(3):
+            u += v * (_FR_DRIFT[i] * dt)
+            v += (u.take(ip1) + u.take(im1) - u - u) * (_FR_KICK[i] * dt)
+        u += v * (_FR_DRIFT[3] * dt)
+    np.testing.assert_array_equal(s.u, u)
+    np.testing.assert_array_equal(s.v, v)
+    stretch = u.take(ip1) - u
+    assert total_energy(s) == float(0.5 * np.dot(v, v)
+                                    + 0.5 * np.dot(stretch, stretch))
+
+
+def test_mode_amplitudes_copy_the_caller_arrays():
+    q = np.ones(4, dtype=complex)
+    amps = ModeAmplitudes(labels=np.arange(4), q=q, p=q, omega=np.ones(4))
+    assert q.flags.writeable and not amps.q.flags.writeable
+    q[0] = 5.0
+    assert amps.q[0] == amps.p[0] == 1.0
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: InitSpec.from_dict({"mode_index": 1}), "init needs 'type'"),
+    (lambda: InitSpec.from_dict({"type": "random", "sneed": 3, "b": 1}),
+     "unknown init key(s): b, sneed"),
+    (lambda: SimConfig.from_dict({"n_sites": 8, "init": {"type": "random"}}),
+     "config needs 'steps'"),
+    (lambda: SimConfig.from_dict({"steps": 8, "x": 1, "init": {}}),
+     "unknown config key(s): x"),
+    (lambda: SimConfig.from_dict({"n_sites": 8, "steps": 1, "init": {}}),
+     "init needs 'type'"),
+], ids=["init-missing", "init-unknown", "config-missing", "config-unknown",
+        "nested-init-missing"])
+def test_config_keys_are_the_dataclass_fields(make, message):
+    with pytest.raises(DiscretumError) as info:
+        make()
+    assert str(info.value) == message

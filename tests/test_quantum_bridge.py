@@ -322,3 +322,23 @@ def test_mass_for_momentum_cutoff_spacing():
     np.testing.assert_allclose(m, 1e-9 / CONSTANTS.c, rtol=1e-12)
     inp = RelationInputs(m=m, a=a_s, omega=CONSTANTS.c / a_s)
     np.testing.assert_allclose(planck_from_lattice(inp), CONSTANTS.h, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_dim", [4.5, 4.0, True, np.float64(3.0)])
+def test_build_qp_rejects_non_integer_dimension(n_dim):
+    with pytest.raises(DiscretumError,
+                       match="^truncation dimension must be an integer"):
+        build_qp_matrices(n_dim, 1.0, 1.0)
+
+
+def test_build_qp_rejects_subnormal_scale_factors():
+    with pytest.raises(DiscretumError, match=r"^hbar\*m\*omega/2 is subnormal"):
+        build_qp_matrices(16, 1e-10, 1e-150, hbar=2e-150)
+    with pytest.raises(DiscretumError,
+                       match=r"^hbar/\(2\*m\*omega\) is subnormal"):
+        build_qp_matrices(16, 1e150, 1e150, hbar=1e-10)
+    # p's scale factor hbar*m*omega/2 at the smallest normal float passes
+    q, p = build_qp_matrices(4, 1.0, 2.0**-1021)
+    assert p.bands[1][0] == -1j * math.sqrt(2.0**-1022)
+    with pytest.raises(DiscretumError, match="is subnormal"):
+        build_qp_matrices(4, 1.0, 2.0**-1022)

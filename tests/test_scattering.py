@@ -529,3 +529,42 @@ def test_kmc_ledger_property(n_sites, tol_factor, phonons, n_events, seed,
         assert tr.drifts[s] == drift == int(np.dot(counts, g.labels))
         assert abs(tr.energies[s] - energy) <= 1e-9 * (1.0 + abs(energy))
     np.testing.assert_array_equal(tr.final_counts, counts)
+
+
+def test_population_rejects_labels_outside_the_grid():
+    g = ModeGrid(8, UNIT)  # labels -3..4
+    assert [g.row(n) for n in (-3, 0, 4)] == [0, 3, 7]
+    pop = biased_population(g, 10)
+    for n in (-10, 9, -4, 5):
+        with pytest.raises(DiscretumError) as info:
+            pop.occupation(n)
+        assert str(info.value) == "label %d outside the grid" % n
+        with pytest.raises(DiscretumError):
+            PhononPopulation.from_counts(g, {n: 1})
+    with pytest.raises(DiscretumError, match="^label must be an integer"):
+        pop.occupation(1.5)
+    assert pop.occupation(np.int64(1)) == 3 and pop.occupation(-3) == 0
+
+
+@pytest.mark.parametrize("total", [2.5, 2.0, True])
+def test_biased_population_rejects_non_integer_total(total):
+    with pytest.raises(DiscretumError) as info:
+        biased_population(ModeGrid(8, UNIT), total)
+    assert str(info.value) == "phonon count must be an integer, got %r" % total
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"n_events": 2.5}, "n_events must be an integer, got 2.5"),
+    ({"n_events": True}, "n_events must be an integer, got True"),
+    ({"n_events": -1}, "n_events must be >= 0, got -1"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+], ids=["events-float", "events-bool", "events-negative", "seed-negative",
+        "seed-float"])
+def test_kmc_rejects_bad_counts(kwargs, message):
+    g = ModeGrid(8, UNIT)
+    table = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
+    with pytest.raises(DiscretumError) as info:
+        kmc_run(g, biased_population(g, 10), table,
+                **{"n_events": 10, "seed": 0, **kwargs})
+    assert str(info.value) == message
