@@ -103,10 +103,9 @@ def _cmd_processes(args):
 
 def _cmd_thermalize(args):
     grid, table = _channels(args)
-    mode = {"all": "all", "normal": "normal_only"}[args.mode]
     initial = scattering.biased_population(grid, args.phonons)
-    trace = scattering.kmc_run(grid, initial, table, args.events, args.seed,
-                               mode)
+    trace = scattering.kmc_run(initial, table, args.events, args.seed,
+                               args.mode)
     if trace.status != "completed":
         print("warning: KMC stopped after %d of %d events: %s"
               % (trace.n_applied, args.events, trace.status), file=sys.stderr)
@@ -214,7 +213,7 @@ def _parser():
     sub.add_argument("--events", type=int, default=10000,
                      help="event budget (default 10000)")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--mode", choices=("all", "normal"), default="all",
+    sub.add_argument("--mode", choices=scattering.KMC_MODES, default="all",
                      help="event classes to allow (default all)")
     sub.add_argument("--phonons", type=int, default=100,
                      help="initial phonons, dealt round-robin over positive "

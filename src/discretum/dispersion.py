@@ -38,6 +38,7 @@ CONSTANTS = PhysicalConstants()
 
 # 938.272 MeV/c^2
 PROTON_MASS = 938.272e6 * CONSTANTS.eV / CONSTANTS.c**2
+CUTOFF_RTOL = 0.01  # compare_cutoffs' relative tolerance on the momenta
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class CutoffEstimate:
         return cls(E_b=E_b, m_p=m_p, p_cut=p, a_s=a_s, bz_extent=bz_extent(a_s))
 
     @classmethod
-    def from_momentum(cls, consts, p_cut, m_p=0.0):
+    def from_momentum(cls, consts, p_cut, m_p):
         """Chain starting from a quoted momentum; E_b back-filled from it."""
         E_b = consts.c * math.sqrt(p_cut**2 + (m_p * consts.c) ** 2)
         a_s = lattice_spacing_from_cutoff(consts, p_cut)
@@ -199,13 +200,13 @@ class CutoffComparison:
     consistent: bool
 
 
-def compare_cutoffs(consts, E_b, m_p, stated_momentum, rtol=0.01):
+def compare_cutoffs(consts, E_b, m_p, stated_momentum):
     """Run both estimation chains and flag whether their momenta agree.
 
     `consistent` is True when the exact-formula momentum for (E_b, m_p) and
-    the separately stated momentum agree within `rtol` relative.
+    the separately stated momentum agree within CUTOFF_RTOL relative.
     """
     exact = CutoffEstimate.from_energy(consts, E_b, m_p)
     stated = CutoffEstimate.from_momentum(consts, stated_momentum, m_p)
-    consistent = abs(exact.p_cut - stated.p_cut) <= rtol * exact.p_cut
+    consistent = abs(exact.p_cut - stated.p_cut) <= CUTOFF_RTOL * exact.p_cut
     return CutoffComparison(exact=exact, stated=stated, consistent=consistent)

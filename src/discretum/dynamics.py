@@ -88,10 +88,9 @@ def init_plane_wave(n_sites, params, mode_index, amplitude):
 
 def random_state(n_sites, params, amplitude=1.0, seed=0):
     """Gaussian random displacements and velocities (deterministic per seed)."""
+    require_int("n_sites", n_sites, minimum=2)
     rng = np.random.default_rng(seed)
-    return ChainState(params,
-                      amplitude * rng.standard_normal(n_sites),
-                      amplitude * rng.standard_normal(n_sites))
+    return ChainState(params, *(amplitude * rng.standard_normal((2, n_sites))))
 
 
 def accelerations(state):
@@ -208,27 +207,17 @@ class ModeAmplitudes:
                          np.max(np.abs(self.p[conj_bin] - np.conj(self.p)))))
 
 
-def to_modes(state, grid):
+def to_modes(state):
     """Project a chain state onto mass-weighted normal coordinates.
 
     q(k) = sqrt(m) * DFT_ortho(u), p(k) = sqrt(m) * DFT_ortho(v), in the
-    grid's DFT label order; the inverse DFT of q/sqrt(m) reconstructs u to
-    rounding.  The grid must describe the state's chain.
+    DFT label order of the chain's ModeGrid; the inverse DFT of q/sqrt(m)
+    reconstructs u to rounding.
     """
-    if grid.n_sites != state.n_sites:
-        raise DiscretumError(
-            "grid has %d sites, state has %d" % (grid.n_sites, state.n_sites))
-    if grid.params != state.params:
-        raise DiscretumError(
-            "grid params %r differ from state params %r"
-            % (grid.params, state.params))
-    sm = math.sqrt(state.params.m)
-    labels = grid.dft_labels
-    return ModeAmplitudes(
-        labels=labels,
-        q=sm * np.fft.fft(state.u, norm="ortho"),
-        p=sm * np.fft.fft(state.v, norm="ortho"),
-        omega=grid.omega(labels))
+    grid = ModeGrid(state.n_sites, state.params)
+    q, p = math.sqrt(state.params.m) * np.fft.fft(
+        np.stack((state.u, state.v)), norm="ortho")
+    return ModeAmplitudes(grid.dft_labels, q, p, grid.omega(grid.dft_labels))
 
 
 def mode_energies(amps):
@@ -331,13 +320,12 @@ def run_sim(config):
     """Integrate per config, sampling every `stride` steps (plus first/last
     row); raises DiscretumError at the first sampled row that is not finite."""
     state = _initial_state(config)
-    grid = ModeGrid(config.n_sites, state.params)
     dt = config.dt_effective
     rows = []
 
     def sample():
         energy = total_energy(state)
-        modes = mode_energies(to_modes(state, grid))
+        modes = mode_energies(to_modes(state))
         if not (math.isfinite(energy) and np.isfinite(modes).all()):
             raise DiscretumError(
                 "row at t = %r is not finite (omega_max*dt = %g, stable below "

@@ -12,9 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DiscretumError
+from .errors import DegenerateBasisError, DiscretumError, require_int
 
 EPS_DEGENERATE = 1e-12
+EQUIVALENCE_ATOL = 1e-9  # is_equivalent's bound on folded differences
 
 # Folding searches candidate reciprocal vectors in integer shells
 # |h|,|k|,|l| <= FOLD_SHELLS around the pre-reduced guess.
@@ -122,20 +123,28 @@ def reciprocal_basis(basis):
     return ReciprocalBasis(2.0 * np.pi * np.linalg.inv(basis.vectors).T)
 
 
+def _combination(vectors, names, values):
+    """Integer `values` (0 past the dimension) and their sum over `vectors`."""
+    for name, value in zip(names, values):
+        require_int("index " + name, value)
+    dim = vectors.shape[0]
+    if any(values[dim:]):
+        raise DiscretumError("indices beyond dimension %d must be 0, got %r"
+                             % (dim, values))
+    return values[:dim], np.asarray(values[:dim], dtype=float) @ vectors
+
+
 def g_vector(recip, h, k=0, l=0):
     """Integer combination h*A + k*B + l*C as a GVector.
 
-    Trailing indices beyond the basis dimension are ignored for dim < 3.
+    Indices must be integers; those beyond the basis dimension must be 0.
     """
-    indices = (h, k, l)[:recip.dim]
-    cart = np.asarray(indices, dtype=float) @ recip.vectors
-    return GVector(indices, cart)
+    return GVector(*_combination(recip.vectors, "hkl", (h, k, l)))
 
 
 def lattice_point(basis, m, n=0, p=0):
-    """Direct-lattice point m*a + n*b + p*c (cartesian)."""
-    coeffs = (m, n, p)[:basis.dim]
-    return np.asarray(coeffs, dtype=float) @ basis.vectors
+    """Direct-lattice point m*a + n*b + p*c, with indices as in g_vector."""
+    return _combination(basis.vectors, "mnp", (m, n, p))[1]
 
 
 def lattice_phase(g, rho):
@@ -189,8 +198,8 @@ def fold_to_bz(recip, k):
     return FoldedVector(k - g.cartesian, g)
 
 
-def is_equivalent(recip, k1, k2, atol=1e-9):
-    """True iff k1 and k2 fold to the same first-zone representative."""
+def is_equivalent(recip, k1, k2):
+    """True iff k1 and k2 fold to within EQUIVALENCE_ATOL of each other."""
     f1 = fold_to_bz(recip, k1)
     f2 = fold_to_bz(recip, k2)
-    return bool(np.max(np.abs(f1.k_folded - f2.k_folded)) <= atol)
+    return bool(np.max(np.abs(f1.k_folded - f2.k_folded)) <= EQUIVALENCE_ATOL)

@@ -27,6 +27,7 @@ from .errors import DiscretumError, require_finite, require_int
 
 # Default frequency-residual tolerance as a fraction of omega_max.
 DEFAULT_TOL_FACTOR = 0.05
+KMC_MODES = ("all", "normal")  # kmc_run's event sets: every row, or g == 0
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,11 @@ class PhononPopulation:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.shape != self.grid.labels.shape:
-            raise DiscretumError(
-                "counts shape %s does not match the %d grid labels"
-                % (counts.shape, self.grid.labels.size))
+        counts = np.array(self.counts)
+        if counts.shape != (self.grid.n_sites,) or counts.dtype.kind not in "iu":
+            raise DiscretumError("counts must be %d integers, got %s %s" % (
+                self.grid.n_sites, counts.dtype, counts.shape))
+        counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise DiscretumError("occupations must be >= 0")
         counts.setflags(write=False)
@@ -82,7 +83,7 @@ class PhononPopulation:
     @classmethod
     def from_counts(cls, grid, mapping):
         """Build from a {label: count} mapping; unlisted labels are empty."""
-        counts = np.zeros(grid.n_sites, dtype=np.int64)
+        counts = [0] * grid.n_sites
         for n, c in mapping.items():
             counts[grid.row(n)] = c
         return cls(grid, counts)
@@ -99,18 +100,14 @@ class PhononPopulation:
         return int(self.counts[self.grid.row(n)])
 
 
-def biased_population(grid, total, labels=None):
-    """`total` phonons dealt round-robin over `labels` (default 1..N/2);
+def biased_population(grid, total):
+    """`total` phonons dealt round-robin over labels 1..N/2, from 1 up;
     `total` must be an integer >= 0, a float or bool is rejected."""
     require_int("phonon count", total, minimum=0)
-    labels = list(grid.labels[grid.labels > 0] if labels is None else labels)
-    if total > 0 and not labels:
-        raise DiscretumError("cannot deal %d phonons over no labels" % total)
-    counts = {}
-    for i, n in enumerate(labels):
-        share = total // len(labels) + (i < total % len(labels))
-        counts[n] = counts.get(n, 0) + share
-    return PhononPopulation.from_counts(grid, counts)
+    k = grid.n_sites // 2  # labels 1..k are the last k rows
+    counts = np.zeros(grid.n_sites, dtype=np.int64)
+    counts[-k:] = total // k + (np.arange(k) < total % k)
+    return PhononPopulation(grid, counts)
 
 
 def enumerate_three_phonon(grid, tol_omega):
@@ -167,28 +164,31 @@ class KmcTrace:
         return self.event_indices.size
 
 
-def kmc_run(grid, initial, table, n_events, seed, mode="all"):
+def kmc_run(initial, table, n_events, seed, mode="all"):
     """Run `n_events` uniformly sampled applicable events from `initial`.
 
-    `table` is a ChannelTable on `grid`.  `mode` 'normal_only' restricts the
-    run to its g == 0 rows; 'all' uses every row.  Each channel is usable in
-    both directions (merge and split) whenever its input modes are occupied.
-    `n_events` and `seed` must be integers >= 0; floats and bools are rejected.
+    `table` holds channels n1 + n2 = n3 + g*N of the grid of `initial`;
+    `mode` 'normal' keeps its g == 0 rows, 'all' every row.  Each channel is
+    usable in both directions (merge and split) whenever its input modes are
+    occupied.  `n_events` and `seed` must be integers >= 0, not bools.
     """
-    if mode not in ("all", "normal_only"):
-        raise DiscretumError("mode must be 'all' or 'normal_only', got %r" % mode)
+    if mode not in KMC_MODES:
+        raise DiscretumError("mode must be 'all' or 'normal', got %r" % mode)
     require_int("n_events", n_events, minimum=0)
     require_int("seed", seed, minimum=0)
-    keep = (np.arange(len(table)) if mode == "all"
-            else np.flatnonzero(table.g == 0))
+    grid = initial.grid
+    base = int(grid.labels[0])
+    rows = np.stack((table.n1, table.n2, table.n3)) - base
+    if (((rows < 0) | (rows >= grid.n_sites)).any() or (
+            table.n1 + table.n2 - table.n3 != table.g * grid.n_sites).any()):
+        raise DiscretumError("table is not on the %d-site grid" % grid.n_sites)
+    keep = np.flatnonzero((table.g == 0) | (mode == "all"))
     if keep.size == 0:
         raise DiscretumError("event set is empty for mode %r" % mode)
 
-    labels_arr = grid.labels
-    base = int(labels_arr[0])
-    i1, i2, i3 = (n[keep] - base for n in (table.n1, table.n2, table.n3))
+    i1, i2, i3 = rows[:, keep]
     gs = table.g[keep]
-    om = grid.omega(labels_arr)
+    om = grid.omega(grid.labels)
     d_omega = om[i3] - om[i1] - om[i2]
     n_ev = keep.size
     # Pair p (merges first, then splits) can fire when both of its input
@@ -229,7 +229,7 @@ def kmc_run(grid, initial, table, n_events, seed, mode="all"):
         # no flag changed and `cand` is still exactly what a rescan returns.
         if min(counts[i1[e]], counts[i2[e]], counts[i3[e]]) < 4:
             cand = applicable()
-    assert drift == int(np.dot(counts, labels_arr))
+    assert drift == int(np.dot(counts, grid.labels))
     status = "completed" if applied == n_events else "no_applicable_event"
 
     counts.setflags(write=False)

@@ -126,7 +126,7 @@ def test_04_parseval_identity():
         n = int(rng.choice([8, 16, 24, 64]))
         s = random_state(n, OscillatorParams(kappa=kappa, m=m, a=a),
                          seed=int(rng.integers(1 << 31)))
-        e_modes = float(np.sum(mode_energies(to_modes(s, ModeGrid(n, s.params)))))
+        e_modes = float(np.sum(mode_energies(to_modes(s))))
         e_pos = total_energy(s)
         worst = max(worst, abs(e_modes - e_pos) / e_pos)
     ok = worst <= 1e-9
@@ -169,13 +169,12 @@ def test_06_mode_decoupling():
     n_sites, n = 64, 7
     p = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
     s = init_plane_wave(n_sites, p, n, 1.0)
-    grid = ModeGrid(n_sites, s.params)
     dt = 0.02 / s.params.omega_max
     worst_fraction = 1.0
     for _ in range(10):
         for _ in range(1000):
             step(s, dt)
-        e = mode_energies(to_modes(s, grid))
+        e = mode_energies(to_modes(s))
         inside = float(e[n] + e[(-n) % n_sites])
         worst_fraction = min(worst_fraction, inside / float(np.sum(e)))
     ok = worst_fraction >= 1.0 - 1e-10
@@ -233,7 +232,7 @@ def test_08_momentum_ledger_and_umklapp_damping():
     assert d0 == 1500
 
     # per-event ledger identity on one umklapp-enabled trace
-    tr = kmc_run(grid, initial, table, 2000, seed=0)
+    tr = kmc_run(initial, table, 2000, seed=0)
     prev = tr.initial_drift
     ledger_ok = True
     for s in range(tr.n_applied):
@@ -242,14 +241,14 @@ def test_08_momentum_ledger_and_umklapp_damping():
         prev = tr.drifts[s]
 
     # normal-only runs conserve the drift exactly
-    tr_n = kmc_run(grid, initial, table, 2000, seed=0, mode="normal_only")
+    tr_n = kmc_run(initial, table, 2000, seed=0, mode="normal")
     normal_ok = bool(np.all(tr_n.drifts == d0))
 
     # 32-seed ensemble: mean drift decays under the 10% line within 1e4 events
     n_events = 10_000
     traces = np.empty((32, n_events))
     for seed in range(32):
-        t = kmc_run(grid, initial, table, n_events, seed=seed)
+        t = kmc_run(initial, table, n_events, seed=seed)
         assert t.n_applied == n_events
         traces[seed] = t.drifts
     mean_abs = np.abs(traces.mean(axis=0))

@@ -412,21 +412,20 @@ def test_processes_bytes_match_reference(n, tol, kappa, m, n_rows, n_umklapp):
                                  "kind"), rows))
 
 
-@pytest.mark.parametrize("cli_mode,lib_mode,phonons", [
-    ("all", "all", 60), ("normal", "normal_only", 60), ("all", "all", 0),
+@pytest.mark.parametrize("mode,phonons", [
+    ("all", 60), ("normal", 60), ("all", 0),
 ], ids=["all", "normal", "no-phonons"])
-def test_thermalize_bytes_match_reference(cli_mode, lib_mode, phonons):
+def test_thermalize_bytes_match_reference(mode, phonons):
     grid = ModeGrid(32, OscillatorParams(kappa=1.0, m=1.0, a=1.0))
     table = enumerate_three_phonon(grid, 0.5 * grid.params.omega_max)
-    trace = kmc_run(grid, biased_population(grid, phonons), table, 80, 4,
-                    lib_mode)
+    trace = kmc_run(biased_population(grid, phonons), table, 80, 4, mode)
     rows = [(0, trace.initial_drift, trace.initial_energy, "")]
     rows.extend((s + 1, trace.drifts[s], float(trace.energies[s]),
                  table.g[trace.event_indices[s]])
                 for s in range(trace.n_applied))
     assert len(rows) == (1 if phonons == 0 else 81)
     assert_stdout(("thermalize", "--n", "32", "--tol", "0.5", "--events",
-                   "80", "--seed", "4", "--mode", cli_mode, "--phonons",
+                   "80", "--seed", "4", "--mode", mode, "--phonons",
                    str(phonons)),
                   reference_csv(("step", "drift", "energy", "event_g"), rows))
 
@@ -535,20 +534,17 @@ def test_thermalize_normal_mode_conserves_drift():
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
 
 
-@pytest.mark.parametrize("cli_mode,lib_mode",
-                         [("all", "all"), ("normal", "normal_only")],
-                         ids=["all", "normal"])
-def test_thermalize_matches_library_run(cli_mode, lib_mode):
+@pytest.mark.parametrize("mode", ["all", "normal"])
+def test_thermalize_matches_library_run(mode):
     argv = ("thermalize", "--n", "16", "--tol", "0.3", "--events", "40",
-            "--seed", "9", "--phonons", "10", "--mode", cli_mode)
+            "--seed", "9", "--phonons", "10", "--mode", mode)
     status, out, _ = run_cli(*argv)
     assert status == 0
     _, rows = parse_csv(out)
     grid = ModeGrid(16, UNIT)
     table = enumerate_three_phonon(grid, 0.3 * grid.params.omega_max)
     assert table.g[0] != 0  # normal-only indices must skip this channel
-    trace = kmc_run(grid, biased_population(grid, 10), table, 40, 9,
-                    lib_mode)
+    trace = kmc_run(biased_population(grid, 10), table, 40, 9, mode)
     assert len(rows) == trace.n_applied + 1
     assert int(rows[0][1]) == trace.initial_drift
     assert float(rows[0][2]) == trace.initial_energy

@@ -51,6 +51,16 @@ def test_state_copy_is_independent():
     assert not np.array_equal(c.u, s.u)
 
 
+@pytest.mark.parametrize("n_sites,message", [
+    (8.5, "n_sites must be an integer, got 8.5"),
+    (True, "n_sites must be an integer, got True"),
+    (1, "n_sites must be >= 2, got 1")], ids=["float", "bool", "one"])
+def test_random_state_rejects_bad_site_counts(n_sites, message):
+    with pytest.raises(DiscretumError) as info:
+        random_state(n_sites, UNIT)
+    assert str(info.value) == message
+
+
 def test_mode_wave_number():
     np.testing.assert_allclose(mode_wave_number(8, 1.0, 4), math.pi, rtol=1e-15)
     np.testing.assert_allclose(mode_wave_number(16, 2.0, 1), math.pi / 16, rtol=1e-15)
@@ -270,7 +280,7 @@ def test_to_modes_matches_explicit_dft():
     """FFT path against a literal O(N^2) transform written independently."""
     p = OscillatorParams(kappa=1.0, m=2.5, a=1.0)
     s = random_state(16, p, seed=21)
-    amps = to_modes(s, ModeGrid(16, s.params))
+    amps = to_modes(s)
     sm = math.sqrt(p.m)
     np.testing.assert_allclose(amps.q, sm * dft_mode_weights(s.u), rtol=0, atol=1e-12)
     np.testing.assert_allclose(amps.p, sm * dft_mode_weights(s.v), rtol=0, atol=1e-12)
@@ -278,19 +288,15 @@ def test_to_modes_matches_explicit_dft():
 
 def test_to_modes_roundtrip_and_mismatch():
     s = random_state(12, UNIT, seed=4)
-    amps = to_modes(s, ModeGrid(12, s.params))
+    amps = to_modes(s)
     u_back = np.fft.ifft(amps.q, norm="ortho") / math.sqrt(UNIT.m)
     np.testing.assert_allclose(u_back.real, s.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(u_back.imag, np.zeros(12), rtol=0, atol=1e-12)
-    with pytest.raises(DiscretumError):
-        to_modes(s, ModeGrid(8, s.params))
-    with pytest.raises(DiscretumError):
-        to_modes(s, ModeGrid(12, OscillatorParams(kappa=2.0, m=1.0, a=1.0)))
 
 
 def test_uniform_translation_is_pure_zero_mode():
     s = ChainState(UNIT, 3.0 * np.ones(8), np.zeros(8))
-    amps = to_modes(s, ModeGrid(8, s.params))
+    amps = to_modes(s)
     np.testing.assert_allclose(amps.q[0], 3.0 * math.sqrt(8), rtol=1e-14)
     assert np.max(np.abs(amps.q[1:])) < 1e-12
     # and it carries no energy
@@ -300,7 +306,7 @@ def test_uniform_translation_is_pure_zero_mode():
 
 def test_reality_defect():
     s = random_state(10, UNIT, seed=5)
-    amps = to_modes(s, ModeGrid(10, s.params))
+    amps = to_modes(s)
     assert amps.reality_defect() < 1e-12
     broken = ModeAmplitudes(labels=amps.labels,
                             q=amps.q + 1j * np.eye(10)[1],
@@ -313,7 +319,7 @@ def test_reality_defect():
 def test_parseval_mode_energy_sum(seed, kappa, m, a):
     p = OscillatorParams(kappa=kappa, m=m, a=a)
     s = random_state(24, p, seed=seed)
-    amps = to_modes(s, ModeGrid(24, s.params))
+    amps = to_modes(s)
     np.testing.assert_allclose(
         float(np.sum(mode_energies(amps))), total_energy(s), rtol=1e-9)
 
@@ -321,12 +327,11 @@ def test_parseval_mode_energy_sum(seed, kappa, m, a):
 def test_parseval_holds_along_a_trajectory():
     p = OscillatorParams(kappa=2.0, m=0.7, a=1.0)
     s = random_state(16, p, seed=9)
-    grid = ModeGrid(16, s.params)
     dt = 0.02 / s.params.omega_max
     for _ in range(50):
         for _ in range(20):
             step(s, dt)
-        amps = to_modes(s, grid)
+        amps = to_modes(s)
         np.testing.assert_allclose(
             float(np.sum(mode_energies(amps))), total_energy(s), rtol=1e-9)
         assert amps.reality_defect() < 1e-10
@@ -335,11 +340,10 @@ def test_parseval_holds_along_a_trajectory():
 def test_plane_wave_mode_energy_concentration():
     n_sites, n = 32, 5
     s = init_plane_wave(n_sites, UNIT, n, 1.0)
-    grid = ModeGrid(n_sites, s.params)
     dt = 0.02 / s.params.omega_max
     for _ in range(10_000):
         step(s, dt)
-    e = mode_energies(to_modes(s, grid))
+    e = mode_energies(to_modes(s))
     total = float(np.sum(e))
     inside = float(e[n] + e[(-n) % n_sites])
     assert inside / total >= 1.0 - 1e-10

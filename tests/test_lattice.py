@@ -82,6 +82,30 @@ def test_lattice_point_integer_combinations():
     np.testing.assert_array_equal(lattice_point(basis, 0, 0), np.zeros(2))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda r, b: g_vector(r, 1.5), "index h must be an integer, got 1.5"),
+    (lambda r, b: g_vector(r, 1, True), "index k must be an integer, got True"),
+    (lambda r, b: lattice_point(b, 2, 0, 0.5),
+     "index p must be an integer, got 0.5"),
+    (lambda r, b: g_vector(r, 1, 5),
+     "indices beyond dimension 1 must be 0, got (1, 5, 0)"),
+    (lambda r, b: lattice_point(b, 1, 2),
+     "indices beyond dimension 1 must be 0, got (1, 2, 0)"),
+    (lambda r, b: g_vector(r, 1, 0, -1),
+     "indices beyond dimension 1 must be 0, got (1, 0, -1)"),
+], ids=["g-float", "g-bool", "point-float", "g-beyond-dim", "point-beyond-dim",
+        "g-beyond-dim-l"])
+def test_indices_are_integers_within_the_dimension(call, message):
+    """A 1-D basis takes one index; a float index or a nonzero index past
+    the dimension raises instead of being truncated or dropped."""
+    basis = LatticeBasis.cubic(1.0, dim=1)
+    with pytest.raises(DiscretumError) as info:
+        call(reciprocal_basis(basis), basis)
+    assert str(info.value) == message
+    g = g_vector(reciprocal_basis(basis), np.int64(2), 0, 0)
+    assert g.indices == (2,) and lattice_point(basis, 3, 0).tolist() == [3.0]
+
+
 def test_lattice_phase_unity_on_lattice_points():
     basis = LatticeBasis.cubic(1.0, dim=3)
     recip = reciprocal_basis(basis)
@@ -213,14 +237,14 @@ def test_fold_translation_invariance_property(dim, basis_seed, k, shift):
     by exactly the shift."""
     mat = random_basis_matrix(np.random.default_rng(basis_seed), dim)
     recip = reciprocal_basis(LatticeBasis(vectors=mat))
-    k = np.array(k[:dim])
+    k, shift = np.array(k[:dim]), shift[:dim]
     g = g_vector(recip, *shift)
     a = fold_to_bz(recip, k)
     b = fold_to_bz(recip, k + g.cartesian)
     scale = 1.0 + float(np.max(np.abs(k)))
     np.testing.assert_allclose(a.k_folded, b.k_folded, rtol=0,
                                atol=1e-12 * scale)
-    assert np.array_equal(np.subtract(b.g.indices, a.g.indices), shift[:dim])
+    assert np.array_equal(np.subtract(b.g.indices, a.g.indices), shift)
 
 
 def test_folded_vector_is_shortest_image():
