@@ -21,6 +21,11 @@ EQUIVALENCE_ATOL = 1e-9  # is_equivalent's bound on folded differences
 # |h|,|k|,|l| <= FOLD_SHELLS around the pre-reduced guess.
 FOLD_SHELLS = 3
 
+# fold_to_bz rejects k more than FOLD_MAX_ZONES zones (in any fractional
+# reciprocal coordinate) from the origin: there the spacing of float64
+# numbers near k exceeds 1e-9 of a zone width, so k - G has too few digits.
+FOLD_MAX_ZONES = 1e-9 / np.finfo(float).eps  # about 4.5e6
+
 # Two candidate representatives whose squared norms differ by less than
 # _TIE_EPS*(1 + |k|^2) count as a tie (zone-boundary case) and the
 # lexicographically largest representative wins.  The window is far above
@@ -85,12 +90,17 @@ class ReciprocalBasis:
 
 @dataclass(frozen=True)
 class GVector:
-    """A reciprocal-lattice vector with its integer indices."""
+    """A reciprocal-lattice vector with its integer indices h, k, l.
+
+    Indices must be integers, not floats or bools.
+    """
 
     indices: tuple
     cartesian: np.ndarray
 
     def __post_init__(self):
+        for name, value in zip("hkl", self.indices):
+            require_int("index " + name, value)
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         cart = np.array(self.cartesian, dtype=float)
         cart.setflags(write=False)
@@ -174,7 +184,8 @@ def fold_to_bz(recip, k):
 
     The input is first pre-reduced by rounding its fractional reciprocal
     coordinates, then all integer shells within FOLD_SHELLS of that guess
-    are scanned, which is exhaustive after pre-reduction.
+    are scanned, which is exhaustive after pre-reduction.  A k with a
+    fractional coordinate beyond FOLD_MAX_ZONES is rejected.
     """
     if not isinstance(recip, ReciprocalBasis):
         raise DiscretumError(
@@ -187,6 +198,11 @@ def fold_to_bz(recip, k):
     if not np.isfinite(k).all():
         raise DiscretumError("k must be finite, got %s" % (k.tolist(),))
     frac = np.linalg.solve(recip.vectors.T, k)
+    reach = np.abs(frac).max()
+    if reach > FOLD_MAX_ZONES:
+        raise DiscretumError(
+            "k is %.3g zones from the origin; beyond %.3g zones k - G is not "
+            "resolved to 1e-9 of a zone width" % (reach, FOLD_MAX_ZONES))
     base = np.rint(frac)
     cand = base + _shell_offsets(recip.dim)
     reps = k - cand @ recip.vectors

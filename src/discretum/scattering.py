@@ -11,16 +11,19 @@ and the frequency residual delta_omega.
 The Monte Carlo gas treats phonons as distinguishable counters: at each step
 one applicable (channel, direction) pair is drawn uniformly — merge needs
 both inputs occupied, split needs the output occupied — and applied.
-Identical seeds give identical traces.  The ascending array of applicable
-pairs is kept between events and rescanned only after an event leaves one
-of its three modes below 4 phonons, the only case in which an applicability
-flag can change; the draw from it, and so the random stream, is the same as
-with a rescan before every event.
+Identical seeds give identical traces.  Each pair keeps an applicability
+flag, and each mode knows the pairs whose flags read it.  A flag reads a
+count only through >= 1 and >= 2, so after an event only the flags of the
+pairs that read one of its modes holding fewer than 2 phonons before or
+after it are recomputed, and the ascending array of applicable pairs is
+rebuilt only when a flag changed.  The draw from it, and so the random
+stream, is the same as with a rescan before every event.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dispersion import ModeGrid
 from .errors import DiscretumError, require_finite, require_int
@@ -28,6 +31,9 @@ from .errors import DiscretumError, require_finite, require_int
 # Default frequency-residual tolerance as a fraction of omega_max.
 DEFAULT_TOL_FACTOR = 0.05
 KMC_MODES = ("all", "normal")  # kmc_run's event sets: every row, or g == 0
+# enumerate_three_phonon computes the residuals of whole n1 rows in blocks of
+# about this many floats (128 kB), so its scratch memory does not grow as N^2.
+ENUM_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,14 @@ class ChannelTable:
 
     def __post_init__(self):
         for f in fields(self):
-            dtype = np.float64 if f.name == "delta_omega" else np.int64
-            column = np.array(getattr(self, f.name), dtype=dtype)
+            column = np.array(getattr(self, f.name))
+            if f.name == "delta_omega":
+                column = column.astype(np.float64, copy=False)
+            elif column.size and column.dtype.kind not in "iu":
+                raise DiscretumError("%s must hold integers, got %s"
+                                     % (f.name, column.dtype))
+            else:
+                column = column.astype(np.int64, copy=False)
             column.setflags(write=False)
             object.__setattr__(self, f.name, column)
         shapes = {getattr(self, f.name).shape for f in fields(self)}
@@ -115,8 +127,9 @@ def enumerate_three_phonon(grid, tol_omega):
 
     The zero label never participates (it is the uniform translation).  Rows
     of the returned ChannelTable are ordered by (n1, n2) ascending and are
-    deterministic.  Each n1 handles its whole row of n2 >= n1 as arrays, so
-    memory stays at the size of the result.
+    deterministic.  The n1 rows are handled as arrays in blocks of about
+    ENUM_BLOCK_FLOATS residuals each, so memory stays at one block plus the
+    size of the result.
     """
     require_finite("tol_omega", tol_omega)
     if tol_omega < 0:
@@ -126,19 +139,24 @@ def enumerate_three_phonon(grid, tol_omega):
     omega = grid.omega(labels)
     # Label 0 never takes part: its NaN frequency fails every residual test.
     omega[-base] = np.nan
-    # omega of wrap(n1 + n2), indexed by n1 + n2 - 2*base.
+    # omega of wrap(n1 + n2), indexed by n1 + n2 - 2*base, so that
+    # window[i, j] is the frequency of the mode that rows i and j merge into.
     omega_sum = omega[grid.wrap(np.arange(2 * base, 2 * labels[-1] + 1)) - base]
-    row_n2, row_residual = [], []
-    for i, n1 in enumerate(labels.tolist()):
-        residual = np.abs(omega[i] + omega[i:] - omega_sum[2 * i:i + n_labels])
-        keep = np.flatnonzero(residual <= tol_omega)
-        row_n2.append(n1 + keep)
-        row_residual.append(residual[keep])
-    n1 = np.repeat(labels, [b.size for b in row_n2])
-    n2 = np.concatenate(row_n2)
+    window = sliding_window_view(omega_sum, n_labels)
+    rows = np.arange(n_labels)
+    step = max(1, ENUM_BLOCK_FLOATS // n_labels)
+    blocks = []
+    for start in range(0, n_labels, step):
+        # Rows start.. of the block pair with columns start.. only: n2 >= n1.
+        n1_rows, n2_rows = rows[start:start + step, None], rows[start:]
+        residual = np.abs((omega[n1_rows] + omega[start:])
+                          - window[start:start + step, start:])
+        i, j = ((residual <= tol_omega) & (n2_rows >= n1_rows)).nonzero()
+        blocks.append((start + i, start + j, residual[i, j]))
+    i, j, residual = (np.concatenate(c) for c in zip(*blocks))
+    n1, n2 = labels[i], labels[j]
     n3 = grid.wrap(n1 + n2)
-    return ChannelTable(n1, n2, n3, (n1 + n2 - n3) // grid.n_sites,
-                        np.concatenate(row_residual))
+    return ChannelTable(n1, n2, n3, (n1 + n2 - n3) // grid.n_sites, residual)
 
 
 @dataclass(frozen=True)
@@ -193,42 +211,79 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     n_ev = keep.size
     # Pair p (merges first, then splits) can fire when both of its input
     # modes in_a[p], in_b[p] hold at least need[p] phonons: a merge with
-    # n1 == n2 takes two from one mode, a split one from n3.
-    in_a = np.concatenate([i1, i3])
-    in_b = np.concatenate([i2, i3])
-    need = np.concatenate([np.where(i1 == i2, 2, 1), np.ones(n_ev, int)])
+    # n1 == n2 takes two from one mode, a split one from n3.  Mode rows are
+    # kept in the smallest unsigned dtype, which makes the stable sort below
+    # a radix sort.
+    small = np.min_scalar_type(grid.n_sites - 1)
+    in_a = np.concatenate([i1, i3]).astype(small)
+    in_b = np.concatenate([i2, i3]).astype(small)
+    need = np.ones(2 * n_ev, dtype=np.uint8)
+    need[:n_ev] += i1 == i2
+    # Entries first[m]:first[m + 1] list the pairs `readers` whose flags
+    # read mode m, with the other input mode `other` and the `need` of each
+    # (a pair whose two inputs are one mode is listed twice).
+    reads = np.concatenate([in_a, in_b])
+    readers = np.argsort(reads, kind="stable")
+    other = np.concatenate([in_b, in_a])[readers]
+    readers %= 2 * n_ev
+    least = need[readers]
+    first = memoryview(np.concatenate(
+        [[0], np.bincount(reads, minlength=grid.n_sites).cumsum()]))
 
     counts, drift, energy = (initial.counts.copy(), initial.drift,
                              initial.total_energy)
-
-    def applicable():  # ascending indices of the pairs that can fire
-        return (np.minimum(counts[in_a], counts[in_b]) >= need).nonzero()[0]
-
+    ok = np.minimum(counts[in_a], counts[in_b]) >= need
+    cand = ok.nonzero()[0]
     ev_rec, dir_rec, drift_rec = np.empty((3, n_events), dtype=np.int64)
     energy_rec = np.empty(n_events, dtype=np.float64)
+    # The event loop reads and writes single elements through memoryviews,
+    # as Python ints and floats: no numpy scalar per access.  The float
+    # arithmetic is the same IEEE float64 as numpy's.
+    c, a1, a2, a3, g_of, dw, ev, dr, dft, en = map(memoryview, (
+        counts, i1, i2, i3, gs, d_omega, ev_rec, dir_rec, drift_rec,
+        energy_rec))
+    n_sites = grid.n_sites
 
-    rng = np.random.default_rng(seed)
-    applied = 0
-    cand = applicable()
-    while applied < n_events and cand.size:
-        pick = int(cand[rng.integers(cand.size)])
+    draw = np.random.default_rng(seed).integers
+    applied, n_cand, cv = 0, cand.size, memoryview(cand)
+    while applied < n_events and n_cand:
+        pick = cv[draw(n_cand)]
         # Direction d: +1 merges (n1, n2) -> n3, -1 splits n3 -> (n1, n2).
-        e, d = (pick, 1) if pick < n_ev else (pick - n_ev, -1)
-        counts[i1[e]] -= d
-        counts[i2[e]] -= d
-        counts[i3[e]] += d
-        drift -= d * int(gs[e]) * grid.n_sites
-        energy += d * d_omega[e]
-        ev_rec[applied] = e
-        dir_rec[applied] = d
-        drift_rec[applied] = drift
-        energy_rec[applied] = energy
+        if pick < n_ev:
+            e, d = pick, 1
+        else:
+            e, d = pick - n_ev, -1
+        m1, m2, m3 = a1[e], a2[e], a3[e]
+        b1, b2, b3 = c[m1], c[m2], c[m3]
+        c[m1] -= d
+        c[m2] -= d
+        c[m3] += d
+        drift -= d * g_of[e] * n_sites
+        energy += d * dw[e]
+        ev[applied] = e
+        dr[applied] = d
+        dft[applied] = drift
+        en[applied] = energy
         applied += 1
-        # A flag reads a count only through >= 1 and >= 2, and one event
-        # moves a count by at most 2, so while every touched count is >= 4
-        # no flag changed and `cand` is still exactly what a rescan returns.
-        if min(counts[i1[e]], counts[i2[e]], counts[i3[e]]) < 4:
-            cand = applicable()
+        # A flag reads a count only through >= 1 and >= 2, so only the flags
+        # that read a mode holding 0 or 1 phonons before or after the event
+        # can change; an event moves a count by at most 2, so a mode that
+        # held 4 or more before it is not one of them.
+        if b1 < 4 or b2 < 4 or b3 < 4:
+            changed = False
+            for m, before in ((m1, b1), (m2, b2), (m3, b3)):
+                now = c[m]
+                if before < 2 or now < 2:
+                    lo, hi = first[m], first[m + 1]
+                    p = readers[lo:hi]
+                    flags = (np.minimum(counts[other[lo:hi]], now)
+                             >= least[lo:hi])
+                    if (flags != ok[p]).any():
+                        ok[p] = flags
+                        changed = True
+            if changed:
+                cand = ok.nonzero()[0]
+                n_cand, cv = cand.size, memoryview(cand)
     assert drift == int(np.dot(counts, grid.labels))
     status = "completed" if applied == n_events else "no_applicable_event"
 

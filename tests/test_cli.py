@@ -88,6 +88,18 @@ def test_fold_non_finite_k(tmp_path, k):
     assert err.startswith("discretum fold:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["1e15", "1e17", "1e300"])
+def test_fold_rejects_k_beyond_the_zone_bound(tmp_path, k):
+    """Far out, k - G has no digits left at zone scale (1e15 would fold to
+    2.125, 1e17 and 1e300 to 0 with g_indices of up to 300 digits), so
+    fold exits 2 with one line on stderr."""
+    basis = write_basis(tmp_path, 1, [[1.0]])
+    status, out, err = run_cli("fold", "--basis", basis, "--k=" + k)
+    assert status == 2 and out == ""
+    assert err.startswith("discretum fold: k is ") and err.count("\n") == 1
+    assert "beyond 4.5e+06 zones" in err
+
+
 @pytest.mark.parametrize("vectors,message", [
     ("[[1, 0], [0]]", "basis vectors must be equal-length rows of numbers"),
     ('[["a"]]', "basis vectors must be equal-length rows of numbers"),

@@ -20,6 +20,7 @@ from discretum import (
     lattice_point,
     reciprocal_basis,
 )
+from discretum.lattice import FOLD_MAX_ZONES
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,6 +105,21 @@ def test_indices_are_integers_within_the_dimension(call, message):
     assert str(info.value) == message
     g = g_vector(reciprocal_basis(basis), np.int64(2), 0, 0)
     assert g.indices == (2,) and lattice_point(basis, 3, 0).tolist() == [3.0]
+
+
+@pytest.mark.parametrize("indices,message", [
+    ((1.5,), "index h must be an integer, got 1.5"),
+    ((1, 2.0), "index k must be an integer, got 2.0"),
+    ((0, 0, True), "index l must be an integer, got True"),
+], ids=["float", "integral-float", "bool"])
+def test_gvector_built_directly_rejects_non_integer_indices(indices, message):
+    """Truncating would store GVector((1.5,), [3.0]) as indices (1,) beside
+    the cartesian 3.0; the integer rule of g_vector holds for the type."""
+    with pytest.raises(DiscretumError) as info:
+        GVector(indices, np.zeros(len(indices)))
+    assert str(info.value) == message
+    g = GVector((np.int64(2), -1), [1.0, 2.0])
+    assert g.indices == (2, -1) and all(type(i) is int for i in g.indices)
 
 
 def test_lattice_phase_unity_on_lattice_points():
@@ -296,6 +312,21 @@ def test_fold_rejects_non_finite_k():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DiscretumError, match="finite"):
             fold_to_bz(recip, [0.5, bad])
+
+
+def test_fold_rejects_k_beyond_the_zone_bound():
+    """The bound is on the fractional reciprocal coordinate of k, in zones:
+    inside it k - G is resolved to 1e-9 of a zone width, beyond it k is
+    rejected rather than folded to a representative with no digits left."""
+    assert 4.4e6 < FOLD_MAX_ZONES < 4.6e6
+    recip = reciprocal_basis(LatticeBasis(np.array([[2.0, 0.0], [0.5, 1.0]])))
+    inside = np.array([4.0e6, -3.0e6]) @ recip.vectors + [0.1, 0.2]
+    out = fold_to_bz(recip, inside)
+    assert out.g.indices == (4_000_000, -3_000_000)
+    np.testing.assert_allclose(out.k_folded, [0.1, 0.2], rtol=0, atol=1e-8)
+    for zones in ([5.0e6, 0.0], [0.0, -5.0e6], [1e300, 1.0]):
+        with pytest.raises(DiscretumError, match="^k is .* zones from the"):
+            fold_to_bz(recip, np.array(zones) @ recip.vectors)
 
 
 def test_fold_rejects_direct_basis():

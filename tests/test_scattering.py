@@ -16,6 +16,7 @@ from discretum import (
     biased_population,
     enumerate_three_phonon,
     kmc_run,
+    scattering,
 )
 
 COLUMNS = ("n1", "n2", "n3", "g", "delta_omega")
@@ -204,6 +205,27 @@ def test_channel_table_validation_and_kind():
         ChannelTable([[1]], [[2]], [[3]], [[0]], [[0.1]])  # not 1-D
 
 
+@pytest.mark.parametrize("column", ["n1", "n2", "n3", "g"])
+@pytest.mark.parametrize("values", [[1.5], [2.0], [True]],
+                         ids=["fraction", "integral-float", "bool"])
+def test_channel_table_rejects_non_integer_columns(column, values):
+    """Truncating would turn ChannelTable([1.5], [1], [2.7], [0], [0.1])
+    into the valid but different channel 1 + 1 -> 2, so a non-integer
+    column is rejected; an empty column of any dtype still passes."""
+    row = {"n1": [1], "n2": [1], "n3": [2], "g": [0], "delta_omega": [0.1]}
+    row[column] = values
+    with pytest.raises(DiscretumError) as info:
+        ChannelTable(**row)
+    assert str(info.value) == "%s must hold integers, got %s" % (
+        column, np.array(values).dtype)
+    table = ChannelTable(*(np.array(v, dtype) for v, dtype in zip(
+        ([1], [1], [2], [0], [1]), (np.int32, np.uint8, np.int16, np.int8,
+                                    np.int64))))
+    assert [getattr(table, c).dtype for c in COLUMNS] == \
+        [np.int64] * 4 + [np.float64]
+    assert len(ChannelTable(*[np.array([])] * 5)) == 0
+
+
 def test_channel_table_copies_its_input():
     n1 = np.array([1])
     table = ChannelTable(n1, [2], [3], [0], [0.1])
@@ -268,14 +290,22 @@ def test_enumerate_matches_brute_force(n_sites, tol_factor):
 @pytest.mark.parametrize("n_sites", [2, 3, 5, 16, 17, 255, 256])
 @pytest.mark.parametrize("params", [UNIT, OscillatorParams(2.3, 0.7, 1.3)],
                          ids=["unit", "scaled"])
-def test_enumerate_matches_reference_loop(n_sites, params):
+def test_enumerate_matches_reference_loop(n_sites, params, monkeypatch):
     """Same channels, same order, bit-equal residuals; residuals never exceed
-    2*omega_max, so the largest tolerance admits every channel."""
+    2*omega_max, so the largest tolerance admits every channel.  The N rows
+    are enumerated in blocks of B rows with the module's budget and with
+    budgets that make N equal to B - 1, B, B + 1 and 2B + 1 (2B + 2 for
+    even N)."""
     g = ModeGrid(n_sites, params)
+    budgets = [scattering.ENUM_BLOCK_FLOATS] + [
+        block_rows * n_sites for block_rows in
+        (n_sites + 1, n_sites, n_sites - 1, (n_sites - 1) // 2)]
     for tol_factor in (0.0, 0.05, 0.3, 1.0, 2.5):
         tol = tol_factor * g.params.omega_max
-        assert_tables_identical(enumerate_three_phonon(g, tol),
-                                reference_enumerate(g, tol))
+        ref = reference_enumerate(g, tol)
+        for budget in budgets:
+            monkeypatch.setattr(scattering, "ENUM_BLOCK_FLOATS", budget)
+            assert_tables_identical(enumerate_three_phonon(g, tol), ref)
 
 
 def test_enumerate_ordering_is_deterministic():
@@ -442,8 +472,10 @@ def test_kmc_ledger_invariants():
 
 # (n_sites, tol_factor, dense phonon count); each grid has n1 == n2 channels
 # and umklapp channels, so both modes and the doubled-count rule are covered.
+# N=512 with 300 phonons is a sparse gas: most modes hold 0 or 1 phonons, so
+# applicability flags flip on most events.
 KMC_SHAPES = [(8, 10.0, 60), (16, 0.3, 200), (64, 0.4, 600),
-              (256, 0.05, 2000)]
+              (256, 0.05, 2000), (512, 0.05, 300)]
 
 
 @pytest.mark.parametrize("mode", ["all", "normal"])
@@ -466,6 +498,27 @@ def test_kmc_matches_full_rescan(n_sites, tol_factor, dense, mode):
             assert_traces_identical(
                 kmc_run(pop, table, n_events, seed, mode), ref)
     assert ref.status == "no_applicable_event"
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data(),
+       n_sites=st.sampled_from([8, 16, 64]),
+       tol_factor=st.sampled_from([0.1, 0.3, 1.0, 2.5]),
+       n_events=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(["all", "normal"]))
+def test_kmc_matches_full_rescan_on_small_gases(data, n_sites, tol_factor,
+                                                n_events, seed, mode):
+    """Gases of 0 to 3 phonons a mode, where most events flip some flag: the
+    incremental flags draw the same pairs as a rescan before every event."""
+    g = ModeGrid(n_sites, UNIT)
+    table = enumerate_three_phonon(g, tol_factor * g.params.omega_max)
+    assume(len(table) > 0 if mode == "all" else (table.g == 0).any())
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=n_sites,
+                                max_size=n_sites))
+    pop = PhononPopulation(g, counts)
+    assert_traces_identical(kmc_run(pop, table, n_events, seed, mode),
+                            reference_kmc_run(pop, table, n_events, seed, mode))
 
 
 def test_kmc_normal_only_conserves_drift():
