@@ -173,8 +173,10 @@ def advance(state, dt, n):
     m = _propagator(state.n_sites, state.params, dt, n)
     uv = np.fft.rfft(np.stack((state.u, state.v)))
     state.u[:], state.v[:] = np.fft.irfft((m * uv).sum(axis=1), state.n_sites)
+    t = state.t
     for _ in range(n):
-        state.t += dt
+        t += dt
+    state.t = t
     return state
 
 

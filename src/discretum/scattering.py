@@ -12,12 +12,14 @@ The Monte Carlo gas treats phonons as distinguishable counters: at each step
 one applicable (channel, direction) pair is drawn uniformly — merge needs
 both inputs occupied, split needs the output occupied — and applied.
 Identical seeds give identical traces.  Each pair keeps an applicability
-flag, and each mode knows the pairs whose flags read it.  A flag reads a
-count only through >= 1 and >= 2, so after an event only the flags of the
-pairs that read one of its modes holding fewer than 2 phonons before or
-after it are recomputed, and the ascending array of applicable pairs is
-rebuilt only when a flag changed.  The draw from it, and so the random
-stream, is the same as with a rescan before every event.
+flag.  A flag reads a count only through >= 1 and >= 2: a pair that takes
+one phonon from each of two modes, or splits one, is indexed under its input
+modes and reset only when one of them fills from or drains to 0, and the
+merge of two phonons of one mode changes only when that mode crosses 2.
+The ascending array of applicable pairs is rebuilt only when a flag
+changed.  The draw from it is numpy's `Generator.integers`, computed from
+the generator's raw PCG64 words, so the random stream is the one a rescan
+before every event with a scalar `integers` call per event gives.
 """
 
 from dataclasses import dataclass, fields
@@ -34,6 +36,8 @@ KMC_MODES = ("all", "normal")  # kmc_run's event sets: every row, or g == 0
 # enumerate_three_phonon computes the residuals of whole n1 rows in blocks of
 # about this many floats (128 kB), so its scratch memory does not grow as N^2.
 ENUM_BLOCK_FLOATS = 1 << 14
+# kmc_run reads its random words in blocks of at most this many PCG64 outputs.
+WORD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,42 @@ class KmcTrace:
         return self.event_indices.size
 
 
+def _integers(seed, n_draws):
+    """draw(n) for 1 <= n <= 2**32, equal call for call to the calls
+    `integers(n)` of `np.random.default_rng(seed)`.
+
+    For such n numpy's Generator uses Lemire's multiply-and-reject (ACM
+    TOMACS 29(1), 2019) on the 32-bit words of PCG64: the low, then the high
+    half of each 64-bit output.  The outputs are read with `random_raw`, the
+    first block sized for `n_draws` draws of one word, all blocks at most
+    WORD_BLOCK long.
+    """
+    def words():
+        bits = np.random.PCG64(seed)
+        block = min(n_draws // 2 + 8, WORD_BLOCK)
+        while True:
+            raw = bits.random_raw(block)
+            yield from np.column_stack(
+                (raw & 0xFFFFFFFF, raw >> 32)).ravel().tolist()
+            block = WORD_BLOCK
+
+    next_word = words().__next__
+
+    def draw(n):
+        if not 1 <= n <= 1 << 32:
+            raise ValueError("draw bound must be in [1, 2**32], got %r" % n)
+        if n == 1:
+            return 0  # numpy reads no word for a single value
+        m = next_word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_word() * n
+        return m >> 32
+
+    return draw
+
+
 def kmc_run(initial, table, n_events, seed, mode="all"):
     """Run `n_events` uniformly sampled applicable events from `initial`.
 
@@ -189,65 +229,82 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     `mode` 'normal' keeps its g == 0 rows, 'all' every row.  Each channel is
     usable in both directions (merge and split) whenever its input modes are
     occupied.  `n_events` and `seed` must be integers >= 0, not bools.
+
+    The pair applied at each event is `cand[integers(cand.size)]` of
+    `np.random.default_rng(seed)`, with `cand` the ascending applicable
+    pairs (all merges, then all splits), the draw computed from the
+    generator's raw words by `_integers`.  A pair that takes one phonon from
+    each of two modes, or splits one, is indexed under its input modes, and
+    its flag is reset only when one of them fills from or drains to 0; the
+    flag of a merge of two phonons of one mode flips when that mode crosses
+    2.  The loop keeps only the picks; drifts and energies follow from them.
     """
     if mode not in KMC_MODES:
         raise DiscretumError("mode must be 'all' or 'normal', got %r" % mode)
     require_int("n_events", n_events, minimum=0)
     require_int("seed", seed, minimum=0)
     grid = initial.grid
+    n_sites = grid.n_sites
     base = int(grid.labels[0])
     rows = np.stack((table.n1, table.n2, table.n3)) - base
-    if (((rows < 0) | (rows >= grid.n_sites)).any() or (
-            table.n1 + table.n2 - table.n3 != table.g * grid.n_sites).any()):
-        raise DiscretumError("table is not on the %d-site grid" % grid.n_sites)
-    keep = np.flatnonzero((table.g == 0) | (mode == "all"))
-    if keep.size == 0:
+    if rows.size and (rows.min() < 0 or rows.max() >= n_sites or (
+            table.n1 + table.n2 - table.n3 != table.g * n_sites).any()):
+        raise DiscretumError("table is not on the %d-site grid" % n_sites)
+    gs, keep = table.g, None  # keep: the rows used, when not all of them
+    if mode == "normal" and gs.any():
+        keep = np.flatnonzero(gs == 0)
+        rows, gs = rows[:, keep], gs[keep]
+    if not gs.size:
         raise DiscretumError("event set is empty for mode %r" % mode)
-
-    i1, i2, i3 = rows[:, keep]
-    gs = table.g[keep]
+    i1, i2, i3 = rows
+    n_ev = i1.size
     om = grid.omega(grid.labels)
-    d_omega = om[i3] - om[i1] - om[i2]
-    n_ev = keep.size
-    # Pair p (merges first, then splits) can fire when both of its input
-    # modes in_a[p], in_b[p] hold at least need[p] phonons: a merge with
-    # n1 == n2 takes two from one mode, a split one from n3.  Mode rows are
-    # kept in the smallest unsigned dtype, which makes the stable sort below
-    # a radix sort.
-    small = np.min_scalar_type(grid.n_sites - 1)
-    in_a = np.concatenate([i1, i3]).astype(small)
-    in_b = np.concatenate([i2, i3]).astype(small)
-    need = np.ones(2 * n_ev, dtype=np.uint8)
-    need[:n_ev] += i1 == i2
-    # Entries first[m]:first[m + 1] list the pairs `readers` whose flags
-    # read mode m, with the other input mode `other` and the `need` of each
-    # (a pair whose two inputs are one mode is listed twice).
-    reads = np.concatenate([in_a, in_b])
-    readers = np.argsort(reads, kind="stable")
-    other = np.concatenate([in_b, in_a])[readers]
-    readers %= 2 * n_ev
-    least = need[readers]
+    d_omega = om.take(i3) - om.take(i1) - om.take(i2)
+    drift0 = int(np.dot(initial.counts, grid.labels))
+    energy0 = float(np.dot(initial.counts, om))
+    counts = initial.counts.copy()
+
+    # Pair p < n_ev merges (n1, n2) -> n3 of row p, pair n_ev + p splits it.
+    # A merge with n1 != n2 or a split fires when each input mode holds a
+    # phonon: entries first[m]:first[m + 1] list those pairs `readers` that
+    # read mode m, with their other input mode `other` (m itself for a
+    # split).  A merge with n1 == n2 == m fires when m holds two: entries
+    # twin_first[m]:twin_first[m + 1] of `twins` list them.  The modes that
+    # are sorted and stored are of the smallest unsigned dtype, which makes
+    # the stable sort a radix sort; pair ids stay intp, since numpy would
+    # convert any other index dtype at each flag assignment.
+    twin = i1 == i2
+    merge = np.flatnonzero(~twin)
+    s1, s2, s3 = rows.astype(np.min_scalar_type(n_sites - 1))
+    reads = np.concatenate([s1.take(merge), s2.take(merge), s3])
+    order = np.argsort(reads, kind="stable")
+    other = np.concatenate([s2.take(merge), s1.take(merge), s3]).take(order)
+    readers = np.concatenate([merge, merge, np.arange(n_ev, 2 * n_ev)]).take(
+        order)
     first = memoryview(np.concatenate(
-        [[0], np.bincount(reads, minlength=grid.n_sites).cumsum()]))
+        [[0], np.bincount(reads, minlength=n_sites).cumsum()]))
+    same = np.flatnonzero(twin)
+    twin_modes = s1.take(same)
+    twins = memoryview(same.take(np.argsort(twin_modes, kind="stable")))
+    twin_first = memoryview(np.concatenate(
+        [[0], np.bincount(twin_modes, minlength=n_sites).cumsum()]))
 
-    counts, drift, energy = (initial.counts.copy(), initial.drift,
-                             initial.total_energy)
-    ok = np.minimum(counts[in_a], counts[in_b]) >= need
+    ok = np.concatenate([
+        np.minimum(counts.take(i1), counts.take(i2)) >= 1 + twin,
+        counts.take(i3) > 0])
     cand = ok.nonzero()[0]
-    ev_rec, dir_rec, drift_rec = np.empty((3, n_events), dtype=np.int64)
-    energy_rec = np.empty(n_events, dtype=np.float64)
     # The event loop reads and writes single elements through memoryviews,
-    # as Python ints and floats: no numpy scalar per access.  The float
-    # arithmetic is the same IEEE float64 as numpy's.
-    c, a1, a2, a3, g_of, dw, ev, dr, dft, en = map(memoryview, (
-        counts, i1, i2, i3, gs, d_omega, ev_rec, dir_rec, drift_rec,
-        energy_rec))
-    n_sites = grid.n_sites
-
-    draw = np.random.default_rng(seed).integers
-    applied, n_cand, cv = 0, cand.size, memoryview(cand)
-    while applied < n_events and n_cand:
+    # as Python ints: no numpy scalar per access.
+    c, a1, a2, a3, okv = map(memoryview, (counts, i1, i2, i3, ok))
+    draw = _integers(seed, n_events)
+    picks = []
+    record = picks.append
+    n_cand, cv = cand.size, memoryview(cand)
+    # Each event can be undone by the reverse pair, so a run that can start
+    # never runs out of applicable pairs.
+    for _ in range(n_events if n_cand else 0):
         pick = cv[draw(n_cand)]
+        record(pick)
         # Direction d: +1 merges (n1, n2) -> n3, -1 splits n3 -> (n1, n2).
         if pick < n_ev:
             e, d = pick, 1
@@ -258,38 +315,46 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
         c[m1] -= d
         c[m2] -= d
         c[m3] += d
-        drift -= d * g_of[e] * n_sites
-        energy += d * dw[e]
-        ev[applied] = e
-        dr[applied] = d
-        dft[applied] = drift
-        en[applied] = energy
-        applied += 1
-        # A flag reads a count only through >= 1 and >= 2, so only the flags
-        # that read a mode holding 0 or 1 phonons before or after the event
-        # can change; an event moves a count by at most 2, so a mode that
-        # held 4 or more before it is not one of them.
+        # A flag reads a count only through >= 1 and >= 2; an event moves a
+        # count by at most 2, so a mode that held 4 or more crosses neither.
         if b1 < 4 or b2 < 4 or b3 < 4:
             changed = False
             for m, before in ((m1, b1), (m2, b2), (m3, b3)):
                 now = c[m]
-                if before < 2 or now < 2:
+                if (before == 0) != (now == 0):
+                    # Every flag listed under m is off while m is empty; as
+                    # it fills, each turns on where its other mode is
+                    # occupied (counts are >= 0, so nonzero means >= 1).
                     lo, hi = first[m], first[m + 1]
                     p = readers[lo:hi]
-                    flags = (np.minimum(counts[other[lo:hi]], now)
-                             >= least[lo:hi])
-                    if (flags != ok[p]).any():
-                        ok[p] = flags
+                    flags = counts.take(other[lo:hi]).astype(bool) if now \
+                        else ok.take(p)
+                    if np.count_nonzero(flags):
+                        ok[p] = flags if now else False
+                        changed = True
+                if (before >= 2) != (now >= 2):
+                    for k in range(twin_first[m], twin_first[m + 1]):
+                        okv[twins[k]] = now >= 2
                         changed = True
             if changed:
                 cand = ok.nonzero()[0]
                 n_cand, cv = cand.size, memoryview(cand)
-    assert drift == int(np.dot(counts, grid.labels))
-    status = "completed" if applied == n_events else "no_applicable_event"
+
+    picks = np.array(picks, dtype=np.int64)
+    splits = picks >= n_ev
+    events = picks - n_ev * splits
+    directions = 1 - 2 * splits
+    drifts = drift0 - np.cumsum(directions * gs[events]) * n_sites
+    # add.accumulate adds left to right, so each energy is the running
+    # float64 sum that adding one event at a time gives.
+    energies = np.add.accumulate(
+        np.concatenate([[energy0], directions * d_omega[events]]))[1:]
+    assert (drifts[-1] if picks.size else drift0) == int(
+        np.dot(counts, grid.labels))
+    status = "completed" if picks.size == n_events else "no_applicable_event"
 
     counts.setflags(write=False)
-    return KmcTrace(event_indices=keep[ev_rec[:applied]],
-                    directions=dir_rec[:applied], drifts=drift_rec[:applied],
-                    energies=energy_rec[:applied], status=status,
-                    initial_drift=initial.drift,
-                    initial_energy=initial.total_energy, final_counts=counts)
+    return KmcTrace(event_indices=events if keep is None else keep[events],
+                    directions=directions, drifts=drifts, energies=energies,
+                    status=status, initial_drift=drift0,
+                    initial_energy=energy0, final_counts=counts)

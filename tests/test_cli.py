@@ -598,6 +598,17 @@ def test_thermalize_early_stop_warns_on_stderr():
     assert status == 0 and err == "" and out.count("\n") == 12
 
 
+def test_thermalize_huge_budget_stops_before_its_first_event():
+    """Nothing is allocated per budgeted event: a run of 10^9 events that
+    cannot start exits 0 at once with the early-stop warning."""
+    status, out, err = run_cli("thermalize", "--n", "8", "--tol", "1",
+                               "--phonons", "0", "--events", "1000000000")
+    assert status == 0
+    assert out == "step,drift,energy,event_g\n0,0,0,\n"
+    assert err == ("warning: KMC stopped after 0 of 1000000000 events: "
+                   "no_applicable_event\n")
+
+
 def test_thermalize_byte_determinism():
     argv = ("thermalize", "--n", "16", "--tol", "0.3", "--events", "100",
             "--seed", "5")

@@ -521,6 +521,72 @@ def test_kmc_matches_full_rescan_on_small_gases(data, n_sites, tol_factor,
                             reference_kmc_run(pop, table, n_events, seed, mode))
 
 
+DRAW_BOUNDS = [1, 2, 3, 7100, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_draw_helper_equals_generator_integers(seed):
+    """The raw-word draws equal Generator.integers call for call.  2**31 + 1
+    rejects about half of all words; 700 draws from a first block of 33
+    outputs cross a block refill."""
+    rng = np.random.default_rng(seed)
+    draw = scattering._integers(seed, 50)
+    bounds = np.random.default_rng([seed, 1]).choice(DRAW_BOUNDS, 700)
+    for n in bounds.tolist():
+        assert draw(n) == rng.integers(n), n
+    for n in (0, -1, 2**32 + 1):
+        with pytest.raises(ValueError):
+            draw(n)
+
+
+def test_kmc_matches_full_rescan_past_one_word_block():
+    """10 000 events at N=8 read more words than the first block holds."""
+    g = ModeGrid(8, UNIT)
+    table = enumerate_three_phonon(g, 10.0 * g.params.omega_max)
+    pop = biased_population(g, 60)
+    assert 2 * scattering.WORD_BLOCK < 10_000
+    for mode in ("all", "normal"):
+        ref = reference_kmc_run(pop, table, 10_000, 11, mode)
+        assert ref.n_applied == 10_000
+        assert_traces_identical(kmc_run(pop, table, 10_000, 11, mode), ref)
+
+
+def test_kmc_twin_merge_flag_follows_its_mode_across_two():
+    """A split n3 -> (m, m) takes mode m from 0 to 2 phonons and the merge
+    (m, m) -> n3 takes it back: the twin flag turns on and off with it."""
+    g = ModeGrid(8, UNIT)
+    table = enumerate_three_phonon(g, 10.0 * g.params.omega_max)
+    pop = PhononPopulation.from_counts(g, {4: 1})
+    base = int(g.labels[0])
+    rows = channel_rows(table)
+    up = down = 0
+    for seed in range(8):
+        tr = kmc_run(pop, table, 200, seed)
+        assert_traces_identical(tr, reference_kmc_run(pop, table, 200, seed))
+        counts = pop.counts.copy()
+        for e, d in zip(tr.event_indices.tolist(), tr.directions.tolist()):
+            n1, n2, n3 = rows[e][:3]
+            before = counts[n1 - base]
+            for n, step in ((n1, -d), (n2, -d), (n3, d)):
+                counts[n - base] += step
+            if n1 == n2:
+                up += before == 0 and counts[n1 - base] == 2
+                down += before == 2 and counts[n1 - base] == 0
+    assert up > 0 and down > 0
+
+
+def test_kmc_repeated_twin_rows_each_keep_a_flag():
+    """A table may list the merge (m, m) -> n3 more than once; every copy is
+    applicable exactly when m holds two phonons."""
+    g = ModeGrid(8, UNIT)
+    table = ChannelTable([1, 1, 1, 2], [1, 1, 2, 2], [2, 2, 3, 4],
+                         [0, 0, 0, 0], [0.0] * 4)
+    pop = PhononPopulation.from_counts(g, {2: 1, 3: 1})
+    for seed in range(6):
+        assert_traces_identical(kmc_run(pop, table, 300, seed),
+                                reference_kmc_run(pop, table, 300, seed))
+
+
 def test_kmc_normal_only_conserves_drift():
     g = ModeGrid(32, UNIT)
     table = enumerate_three_phonon(g, 0.5 * g.params.omega_max)
