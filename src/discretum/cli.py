@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from . import dynamics, lattice, quantum_bridge, scattering
-from .dispersion import (CONSTANTS, ModeGrid, OscillatorParams,
+from .dispersion import (CONSTANTS, MAX_Q_SAMPLES, ModeGrid, OscillatorParams,
                          chain_dispersion, compare_cutoffs)
 from .errors import DiscretumError, require_finite, require_int
 
@@ -132,7 +132,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_dispersion(args):
-    require_int("--q-samples", args.q_samples, minimum=0)
+    require_int("--q-samples", args.q_samples, minimum=0, maximum=MAX_Q_SAMPLES)
     params = OscillatorParams(kappa=args.kappa, m=args.m, a=args.a)
     edge = math.pi / args.a
     require_finite("zone edge pi/a", edge)
@@ -167,10 +167,8 @@ def _cmd_commutator(args):
 
 def _cmd_planck(args):
     mass = quantum_bridge.medium_atom_mass(CONSTANTS, args.a)
-    inputs = quantum_bridge.RelationInputs(m=mass, a=args.a,
-                                           omega=CONSTANTS.c / args.a)
-    return emit_json({"mass_kg": mass, "h_roundtrip":
-                      quantum_bridge.planck_from_lattice(inputs)}) + "\n"
+    h = quantum_bridge.planck_from_lattice(CONSTANTS, mass, args.a)
+    return emit_json({"mass_kg": mass, "h_roundtrip": h}) + "\n"
 
 
 # ----------------------------------------------------------------- parsing

@@ -39,6 +39,9 @@ CONSTANTS = PhysicalConstants()
 # 938.272 MeV/c^2
 PROTON_MASS = 938.272e6 * CONSTANTS.eV / CONSTANTS.c**2
 CUTOFF_RTOL = 0.01  # compare_cutoffs' relative tolerance on the momenta
+_SQUARE_LIMIT = math.sqrt(np.finfo(float).max)
+# The dispersion command's cap on --q-samples: its table is ~40 MB of text.
+MAX_Q_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -59,11 +62,6 @@ class OscillatorParams:
     def omega_max(self):
         """Band-top frequency 2*sqrt(kappa/m) of the chain."""
         return 2.0 * math.sqrt(self.kappa / self.m)
-
-
-def oscillator_frequency(params):
-    """Single-oscillator frequency sqrt(kappa/m), half of omega_max."""
-    return 0.5 * params.omega_max
 
 
 def sound_speed(params):
@@ -132,11 +130,13 @@ class ModeGrid:
         m = n % self.n_sites
         return m - self.n_sites * (m > self.n_sites // 2)
 
-    def matrix(self):
-        """Explicit (N, N) kernel chi[j, l]; rows (DFT order) are orthonormal."""
-        n = self.n_sites
-        j, l = np.meshgrid(self.dft_labels, np.arange(n), indexing="ij")
-        return np.exp(2j * math.pi * j * l / n) / math.sqrt(n)
+
+def _require_squarable(*named):
+    """Raise DiscretumError unless each (name, value) squares to a finite float."""
+    for name, value in named:
+        if not abs(value) < _SQUARE_LIMIT:
+            raise DiscretumError("%s must be below %.6g, got %r"
+                                 % (name, _SQUARE_LIMIT, value))
 
 
 def cutoff_momentum(consts, E_b, m_p):
@@ -147,6 +147,7 @@ def cutoff_momentum(consts, E_b, m_p):
     if E_b < rest:
         raise SubRestMassError(
             "energy bound %.6e J is below rest energy %.6e J" % (E_b, rest))
+    _require_squarable(("E_b/c", E_b / consts.c), ("m_p*c", m_p * consts.c))
     # Guard the radicand: at the threshold E_b == rest the two squared terms
     # cancel and rounding may leave a signless residue either side of zero.
     diff = (E_b / consts.c) ** 2 - (m_p * consts.c) ** 2
@@ -185,8 +186,9 @@ class CutoffEstimate:
     @classmethod
     def from_momentum(cls, consts, p_cut, m_p):
         """Chain starting from a quoted momentum; E_b back-filled from it."""
-        E_b = consts.c * math.sqrt(p_cut**2 + (m_p * consts.c) ** 2)
         a_s = lattice_spacing_from_cutoff(consts, p_cut)
+        _require_squarable(("cutoff momentum", p_cut), ("m_p*c", m_p * consts.c))
+        E_b = consts.c * math.sqrt(p_cut**2 + (m_p * consts.c) ** 2)
         return cls(E_b=E_b, m_p=m_p, p_cut=p_cut, a_s=a_s,
                    bz_extent=bz_extent(a_s))
 

@@ -93,13 +93,6 @@ def random_state(n_sites, params, amplitude=1.0, seed=0):
     return ChainState(params, *(amplitude * rng.standard_normal((2, n_sites))))
 
 
-def accelerations(state):
-    """(kappa/m)*(u_{l+1} - 2 u_l + u_{l-1}) with periodic neighbours."""
-    u = state.u
-    return (state.params.kappa / state.params.m) * (
-        np.roll(u, -1) - 2.0 * u + np.roll(u, 1))
-
-
 def _check_dt(params, dt):
     """Reject dt <= 0; warn (to the integrator's caller) near the stable bound."""
     require_positive("dt", dt)
@@ -301,13 +294,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Sampled rows of one run: times, energies, per-mode energies, snapshots."""
+    """Sampled rows of one run: times, total energies and per-mode energies."""
 
-    config: SimConfig
     times: np.ndarray
     total_energy: np.ndarray
     mode_energies: np.ndarray
-    displacements: np.ndarray
 
 
 def _initial_state(config):
@@ -332,10 +323,10 @@ def run_sim(config):
             raise DiscretumError(
                 "row at t = %r is not finite (omega_max*dt = %g, stable below "
                 "%g)" % (state.t, state.params.omega_max * dt, STABILITY_LIMIT))
-        rows.append((state.t, energy, modes, state.u.copy()))
+        rows.append((state.t, energy, modes))
 
     sample()
     for done in range(0, config.steps, config.stride):
         advance(state, dt, min(config.stride, config.steps - done))
         sample()
-    return SimResult(config, *map(np.array, zip(*rows)))
+    return SimResult(*map(np.array, zip(*rows)))

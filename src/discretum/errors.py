@@ -34,9 +34,11 @@ def require_positive(name, value):
         raise DiscretumError("%s must be > 0, got %r" % (name, value))
 
 
-def require_int(name, value, minimum=None):
-    """Raise DiscretumError unless `value` is an integer (not a bool) >= minimum."""
+def require_int(name, value, minimum=None, maximum=None):
+    """Raise DiscretumError unless `value` is an integer (not a bool) in bounds."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DiscretumError("%s must be an integer, got %r" % (name, value))
     if minimum is not None and value < minimum:
         raise DiscretumError("%s must be >= %d, got %d" % (name, minimum, value))
+    if maximum is not None and value > maximum:
+        raise DiscretumError("%s must be <= %d, got %d" % (name, maximum, value))

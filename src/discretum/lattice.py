@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DegenerateBasisError, DiscretumError, require_int
 
 EPS_DEGENERATE = 1e-12
-EQUIVALENCE_ATOL = 1e-9  # is_equivalent's bound on folded differences
 
 # Folding searches candidate reciprocal vectors in integer shells
 # |h|,|k|,|l| <= FOLD_SHELLS around the pre-reduced guess.
@@ -212,10 +211,3 @@ def fold_to_bz(recip, k):
     best = max(eligible, key=lambda i: tuple(reps[i]))
     g = g_vector(recip, *(int(c) for c in cand[best]))
     return FoldedVector(k - g.cartesian, g)
-
-
-def is_equivalent(recip, k1, k2):
-    """True iff k1 and k2 fold to within EQUIVALENCE_ATOL of each other."""
-    f1 = fold_to_bz(recip, k1)
-    f2 = fold_to_bz(recip, k2)
-    return bool(np.max(np.abs(f1.k_folded - f2.k_folded)) <= EQUIVALENCE_ATOL)

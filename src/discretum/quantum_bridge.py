@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dispersion import CONSTANTS
 from .errors import DiscretumError, require_int, require_positive
 
 
@@ -187,15 +186,6 @@ def _band_pair(q, p):
     return q.bands[1], p.bands[1]
 
 
-def _commutator_bands(q, p):
-    """Diagonal / i and band 2 of qp - pq, from the bands a of q and b of p:
-    with x_j = a_j conj(b_j), entry (j, j) is 2i (Im x_j - Im x_{j-1}), entry
-    (j, j+2) is a_j b_{j+1} - b_j a_{j+1}, and band -2 is minus its conjugate."""
-    a, b = _band_pair(q, p)
-    diag = 2.0 * np.diff((a * b.conj()).imag, prepend=0.0, append=0.0)
-    return diag, a[:-1] * b[1:] - b[:-1] * a[1:]
-
-
 def commutator_defect(q, p, hbar=1.0):
     """Deviation of qp - pq from i*hbar*I, excluding the truncation corner.
 
@@ -204,21 +194,15 @@ def commutator_defect(q, p, hbar=1.0):
     (N-1, N-1) entry, which for the ladder construction equals
     -i*hbar*(N-1).  O(N), from the bands.
     """
-    diag, band = _commutator_bands(q, p)
+    # With a, b the bands of q, p and x_j = a_j conj(b_j), entry (j, j) of
+    # qp - pq is 2i (Im x_j - Im x_{j-1}) and entry (j, j+2) is
+    # a_j b_{j+1} - b_j a_{j+1}; band -2 is minus its conjugate.
+    a, b = _band_pair(q, p)
+    diag = 2.0 * np.diff((a * b.conj()).imag, prepend=0.0, append=0.0)
+    band = a[:-1] * b[1:] - b[:-1] * a[1:]
     max_defect = max(np.max(np.abs(diag[:-1] - hbar)),
                      np.max(np.abs(band), initial=0.0))
     return float(max_defect), complex(0.0, diag[-1])
-
-
-def real_form_defect(q, p, h=1.0):
-    """Residual of the imaginary-unit-free convention pq - qp = h.
-
-    With the actual matrices the left side is -i*hbar on the diagonal, so
-    this is large (h*sqrt(2) per entry for hbar = h); reported for
-    comparison against the standard i*hbar form, never used as a check.
-    """
-    diag, _ = _commutator_bands(q, p)
-    return float(np.max(np.hypot(diag[:-1], h)))
 
 
 def oscillator_hamiltonian(q, p, m, omega):
@@ -269,28 +253,13 @@ def oscillator_spectrum(n_levels, m, omega, hbar=1.0):
     return _levels(oscillator_hamiltonian(q, p, m, omega), n_levels)
 
 
-@dataclass(frozen=True)
-class RelationInputs:
-    """Scalar inputs of the action-quantum relations."""
-
-    m: float
-    a: float
-    omega: float
-    c: float = CONSTANTS.c
-
-    def __post_init__(self):
-        for name in ("m", "a", "omega", "c"):
-            require_positive(name, getattr(self, name))
-
-
-def planck_from_lattice(inputs):
-    """Action quantum m*c*a of a medium with atom mass m and spacing a."""
-    return inputs.m * inputs.c * inputs.a
-
-
-def action_quantum_from_frequency(inputs):
-    """Equivalent chain m*omega*a^2; equals m*c*a when omega = c/a."""
-    return inputs.m * inputs.omega * inputs.a**2
+def planck_from_lattice(consts, m, a):
+    """Action quantum m*c*a = m*omega*a^2 of atom mass m, spacing a and
+    frequency omega = c/a, each of which must be finite and positive."""
+    require_positive("m", m)
+    require_positive("a", a)
+    require_positive("omega", consts.c / a)
+    return m * consts.c * a
 
 
 def medium_atom_mass(consts, a):

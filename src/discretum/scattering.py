@@ -38,6 +38,7 @@ KMC_MODES = ("all", "normal")  # kmc_run's event sets: every row, or g == 0
 ENUM_BLOCK_FLOATS = 1 << 14
 # kmc_run reads its random words in blocks of at most this many PCG64 outputs.
 WORD_BLOCK = 4096
+INT64_MAX = int(np.iinfo(np.int64).max)  # drifts and counts are int64
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,8 @@ class ChannelTable:
 
 @dataclass(frozen=True)
 class PhononPopulation:
-    """Integer occupation per grid label (row i holds label grid.labels[i])."""
+    """Integer occupation per grid label (row i holds label grid.labels[i]);
+    the total and the sum of count*|label| must fit int64."""
 
     grid: ModeGrid
     counts: np.ndarray
@@ -93,6 +95,10 @@ class PhononPopulation:
         counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise DiscretumError("occupations must be >= 0")
+        exact = counts.astype(object)  # Python ints: these sums cannot wrap
+        for name, value in (("phonon total", exact.sum()), (
+                "sum of count*|label|", exact @ np.abs(self.grid.labels))):
+            require_int(name, value, maximum=INT64_MAX)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -119,7 +125,7 @@ class PhononPopulation:
 def biased_population(grid, total):
     """`total` phonons dealt round-robin over labels 1..N/2, from 1 up;
     `total` must be an integer >= 0, a float or bool is rejected."""
-    require_int("phonon count", total, minimum=0)
+    require_int("phonon count", total, minimum=0, maximum=INT64_MAX)
     k = grid.n_sites // 2  # labels 1..k are the last k rows
     counts = np.zeros(grid.n_sites, dtype=np.int64)
     counts[-k:] = total // k + (np.arange(k) < total % k)
@@ -228,7 +234,8 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     `table` holds channels n1 + n2 = n3 + g*N of the grid of `initial`;
     `mode` 'normal' keeps its g == 0 rows, 'all' every row.  Each channel is
     usable in both directions (merge and split) whenever its input modes are
-    occupied.  `n_events` and `seed` must be integers >= 0, not bools.
+    occupied.  `n_events` and `seed` must be integers >= 0, not bools; as an
+    event moves the drift by at most N, |drift| + n_events*N must fit int64.
 
     The pair applied at each event is `cand[integers(cand.size)]` of
     `np.random.default_rng(seed)`, with `cand` the ascending applicable
@@ -260,8 +267,9 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     n_ev = i1.size
     om = grid.omega(grid.labels)
     d_omega = om.take(i3) - om.take(i1) - om.take(i2)
-    drift0 = int(np.dot(initial.counts, grid.labels))
-    energy0 = float(np.dot(initial.counts, om))
+    drift0, energy0 = initial.drift, initial.total_energy
+    require_int("|drift| + events*N", abs(drift0) + n_events * n_sites,
+                maximum=INT64_MAX)
     counts = initial.counts.copy()
 
     # Pair p < n_ev merges (n1, n2) -> n3 of row p, pair n_ev + p splits it.

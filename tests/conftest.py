@@ -7,8 +7,12 @@ as independent oracles for the library code rather than mirrors of it.
 
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py
 # and echoed after the run summary so the lines survive output capture.
@@ -20,6 +24,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def readme_blocks(language):
+    """The bodies of the README's fenced blocks of `language`, in order."""
+    return re.findall(r"^```%s\n(.*?)^```" % language, README.read_text(),
+                      flags=re.M | re.S)
 
 
 def run_cli(*argv):
@@ -77,13 +87,28 @@ def zero_crossing_frequency(samples, dt):
     return np.pi * (idx.size - 1) / (t_cross[-1] - t_cross[0])
 
 
+def dft_kernel(n):
+    """Explicit (N, N) DFT kernel exp(-2 pi i j l/N)/sqrt(N); rows orthonormal."""
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+
+
 def dft_mode_weights(u):
     """Explicit O(N^2) discrete Fourier transform, orthonormal convention.
 
     Used to cross-check the package's FFT-based mode decomposition.
     """
     u = np.asarray(u, dtype=float)
-    n = u.size
-    j = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    return kernel @ u
+    return dft_kernel(u.size) @ u
+
+
+def accelerations(state):
+    """(kappa/m)*(u_{l+1} - 2 u_l + u_{l-1}) with periodic neighbours."""
+    u = state.u
+    return (state.params.kappa / state.params.m) * (
+        np.roll(u, -1) - 2.0 * u + np.roll(u, 1))
+
+
+def action_quantum_from_frequency(m, omega, a):
+    """The chain's action quantum m*omega*a^2; equals m*c*a when omega = c/a."""
+    return m * omega * a**2

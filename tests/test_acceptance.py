@@ -20,7 +20,6 @@ from discretum import (
     ModeGrid,
     OscillatorParams,
     PhononPopulation,
-    RelationInputs,
     bz_extent,
     build_qp_matrices,
     chain_dispersion,
@@ -308,8 +307,7 @@ def test_10_symbolic_reduction():
 def test_11_planck_relation_roundtrip():
     mass = medium_atom_mass(CONSTANTS, 1.0e-25)
     mass_ok = abs(mass - 2.21e-17) <= 1e-3 * 2.21e-17
-    h_back = planck_from_lattice(
-        RelationInputs(m=mass, a=1.0e-25, omega=CONSTANTS.c / 1.0e-25))
+    h_back = planck_from_lattice(CONSTANTS, mass, 1.0e-25)
     rel = abs(h_back - CONSTANTS.h) / CONSTANTS.h
     round_ok = rel <= 1e-12
     ok = mass_ok and round_ok

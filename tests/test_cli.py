@@ -20,7 +20,6 @@ from discretum import (
     LatticeBasis,
     ModeGrid,
     OscillatorParams,
-    RelationInputs,
     SimConfig,
     biased_population,
     build_qp_matrices,
@@ -310,13 +309,45 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
      "hbar*m*omega/2 is subnormal, got 1e-310"),
     (("thermalize", "--seed", "-1"), "seed must be >= 0, got -1"),
     (("dispersion", "--q-samples", "-1"), "--q-samples must be >= 0, got -1"),
+    # The cap passes its check (the zone edge fails after it); the cap + 1
+    # does not.  Neither allocates the table.
+    (("dispersion", "--q-samples", "1048576", "--a", "1e-320"),
+     "zone edge pi/a must be a finite number, got inf"),
+    (("dispersion", "--q-samples", "1048577", "--a", "1e-320"),
+     "--q-samples must be <= 1048576, got 1048577"),
+    (("cutoff", "--Eb-eV", "1e308"),
+     "E_b/c must be below 1.34078e+154, got 5.344285992678308e+280"),
+    (("cutoff", "--stated-momentum", "1e308"),
+     "cutoff momentum must be below 1.34078e+154, got 1e+308"),
+    (("cutoff", "--mp-MeV=-1e200", "--Eb-eV", "1"),
+     "m_p*c must be below 1.34078e+154, got -5.344285992678308e+178"),
+    # Drifts are int64: a population or budget that could wrap one exits 2.
+    (("thermalize", "--n", "8", "--tol", "1", "--phonons",
+      "4611686018427387904", "--events", "0"),
+     "sum of count*|label| must be <= 9223372036854775807, "
+     "got 11529215046068469760"),
+    (("thermalize", "--n", "8", "--tol", "1", "--phonons",
+      "9223372036854775807", "--events", "3"),
+     "sum of count*|label| must be <= 9223372036854775807, "
+     "got 23058430092136939516"),
+    (("thermalize", "--n", "8", "--phonons", "18446744073709551616"),
+     "phonon count must be <= 9223372036854775807, "
+     "got 18446744073709551616"),
+    (("thermalize", "--n", "8", "--tol", "1", "--phonons", "10", "--events",
+      "1152921504606846976"),
+     "|drift| + events*N must be <= 9223372036854775807, "
+     "got 9223372036854775831"),
 ], ids=["dispersion-omega-inf", "processes-omega-inf", "processes-omega-0",
         "commutator-hbar", "commutator-m", "commutator-m-omega",
         "commutator-omega", "commutator-q-scale", "commutator-p-scale",
         "cutoff-stated", "cutoff-Eb", "cutoff-mp",
         "planck-a", "dispersion-zone-edge", "commutator-N-cap",
         "commutator-H-overflow", "commutator-p-subnormal",
-        "thermalize-seed", "dispersion-q-samples"])
+        "thermalize-seed", "dispersion-q-samples",
+        "dispersion-q-samples-at-cap", "dispersion-q-samples-over-cap",
+        "cutoff-Eb-square", "cutoff-stated-square", "cutoff-mp-square",
+        "thermalize-label-sum", "thermalize-label-sum-max-phonons",
+        "thermalize-phonons-2**64", "thermalize-event-budget"])
 def test_numeric_boundary_exits_2(argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way
@@ -524,9 +555,9 @@ def test_commutator_bytes_match_reference(n, hbar, m, omega):
 @pytest.mark.parametrize("a", [1e-25, 3.7e-19])
 def test_planck_bytes_match_reference(a):
     mass = medium_atom_mass(CONSTANTS, a)
-    inputs = RelationInputs(m=mass, a=a, omega=CONSTANTS.c / a)
     expected = reference_json({
-        "mass_kg": mass, "h_roundtrip": planck_from_lattice(inputs)}) + "\n"
+        "mass_kg": mass,
+        "h_roundtrip": planck_from_lattice(CONSTANTS, mass, a)}) + "\n"
     assert_stdout(("planck", "--a", repr(a)), expected)
 
 

@@ -17,7 +17,6 @@ from discretum import (
     compare_cutoffs,
     cutoff_momentum,
     lattice_spacing_from_cutoff,
-    oscillator_frequency,
     sound_speed,
 )
 from discretum.errors import require_finite, require_int, require_positive
@@ -33,10 +32,11 @@ def test_constants_values():
 
 
 def test_oscillator_frequency_examples():
-    assert oscillator_frequency(OscillatorParams(kappa=4.0, m=1.0, a=1.0)) == 2.0
-    assert oscillator_frequency(OscillatorParams(kappa=1.0, m=1.0, a=1.0)) == 1.0
+    """The single-oscillator frequency sqrt(kappa/m) is half of omega_max."""
+    assert OscillatorParams(kappa=4.0, m=1.0, a=1.0).omega_max / 2 == 2.0
+    assert OscillatorParams(kappa=1.0, m=1.0, a=1.0).omega_max / 2 == 1.0
     np.testing.assert_allclose(
-        oscillator_frequency(OscillatorParams(kappa=9.0, m=4.0, a=1.0)), 1.5, rtol=1e-15)
+        OscillatorParams(kappa=9.0, m=4.0, a=1.0).omega_max / 2, 1.5, rtol=1e-15)
 
 
 def test_sound_speed_examples():
@@ -44,7 +44,7 @@ def test_sound_speed_examples():
     np.testing.assert_allclose(sound_speed(p), 1.0, rtol=1e-15)
     # with unit spacing the sound speed equals the oscillator frequency
     q = OscillatorParams(kappa=7.3, m=2.1, a=1.0)
-    assert sound_speed(q) == oscillator_frequency(q)
+    assert sound_speed(q) == q.omega_max / 2
 
 
 def test_params_validation():
@@ -234,7 +234,7 @@ def test_custom_constants_object():
 def test_frequency_and_speed_equal_the_sqrt_formula(kappa, m, a):
     """Both are read off omega_max, and halving it is exact."""
     p = OscillatorParams(kappa=kappa, m=m, a=a)
-    assert oscillator_frequency(p) == math.sqrt(kappa / m)
+    assert p.omega_max / 2 == math.sqrt(kappa / m)
     assert sound_speed(p) == a * math.sqrt(kappa / m)
 
 

@@ -15,7 +15,6 @@ from discretum import (
     LatticeBasis,
     fold_to_bz,
     g_vector,
-    is_equivalent,
     lattice_phase,
     lattice_point,
     reciprocal_basis,
@@ -278,11 +277,17 @@ def test_folded_vector_is_shortest_image():
 
 
 def test_is_equivalent():
+    """Wave vectors one reciprocal vector apart fold to the same k_folded."""
     recip = reciprocal_basis(LatticeBasis.cubic(1.0, dim=1))
-    assert is_equivalent(recip, [0.3], [0.3 + TWO_PI])
-    assert is_equivalent(recip, [0.3], [0.3 - 3 * TWO_PI])
-    assert is_equivalent(recip, [math.pi], [-math.pi])
-    assert not is_equivalent(recip, [0.1], [0.2])
+
+    def gap(k1, k2):
+        return np.max(np.abs(fold_to_bz(recip, k1).k_folded
+                             - fold_to_bz(recip, k2).k_folded))
+
+    assert gap([0.3], [0.3 + TWO_PI]) <= 1e-9
+    assert gap([0.3], [0.3 - 3 * TWO_PI]) <= 1e-9
+    assert gap([math.pi], [-math.pi]) <= 1e-9
+    assert gap([0.1], [0.2]) > 1e-9
 
 
 def test_degenerate_basis_rejected():

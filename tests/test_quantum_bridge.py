@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dense_band_matrix
+from conftest import action_quantum_from_frequency, dense_band_matrix
 from discretum import (
     CONSTANTS,
     DiscretumError,
     NcExpression,
     OperatorMatrix,
-    RelationInputs,
-    action_quantum_from_frequency,
+    PhysicalConstants,
     build_qp_matrices,
     commutator_defect,
     ground_energy,
@@ -21,7 +20,6 @@ from discretum import (
     oscillator_hamiltonian,
     oscillator_spectrum,
     planck_from_lattice,
-    real_form_defect,
     reduce_mode_hamiltonian,
 )
 from discretum.quantum_bridge import MAX_DIMENSION
@@ -236,10 +234,18 @@ def test_commutator_dimension_mismatch():
 
 
 def test_real_form_defect_documents_failure():
+    """The imaginary-unit-free convention pq - qp = h fails: the matrices
+    give -i*hbar on the diagonal, h*sqrt(2) away from h for hbar = h."""
     q, p = build_qp_matrices(4, 1.0, 1.0)
-    np.testing.assert_allclose(real_form_defect(q, p, h=1.0), math.sqrt(2.0), rtol=1e-12)
+    qd, pd = dense_band_matrix(q), dense_band_matrix(p)
+    diag = np.diag(pd @ qd - qd @ pd)[:-1]  # without the truncation corner
+
+    def real_form_defect(h):
+        return np.max(np.abs(diag - h))
+
+    np.testing.assert_allclose(real_form_defect(1.0), math.sqrt(2.0), rtol=1e-12)
     # scaling h moves the target, not the matrices
-    np.testing.assert_allclose(real_form_defect(q, p, h=3.0), math.sqrt(10.0), rtol=1e-12)
+    np.testing.assert_allclose(real_form_defect(3.0), math.sqrt(10.0), rtol=1e-12)
 
 
 def test_hamiltonian_is_diagonal_with_corner_anomaly():
@@ -275,27 +281,28 @@ def test_spectrum_physical_scales():
 
 
 def test_relation_inputs_validation():
-    with pytest.raises(DiscretumError):
-        RelationInputs(m=0.0, a=1.0, omega=1.0)
-    with pytest.raises(DiscretumError):
-        RelationInputs(m=1.0, a=-1.0, omega=1.0)
-    r = RelationInputs(m=1.0, a=1.0, omega=1.0)
-    assert r.c == CONSTANTS.c
+    with pytest.raises(DiscretumError, match="^m must be > 0"):
+        planck_from_lattice(CONSTANTS, 0.0, 1.0)
+    with pytest.raises(DiscretumError, match="^a must be > 0"):
+        planck_from_lattice(CONSTANTS, 1.0, -1.0)
+    # omega = c/a must be finite too
+    with pytest.raises(DiscretumError, match="^omega must be a finite number"):
+        planck_from_lattice(CONSTANTS, 1.0, 1e-301)
+    assert planck_from_lattice(CONSTANTS, 1.0, 1.0) == CONSTANTS.c
 
 
 def test_action_quantum_values():
-    toy = RelationInputs(m=2.0, a=3.0, omega=1.0, c=5.0)
-    assert planck_from_lattice(toy) == 30.0
-    assert action_quantum_from_frequency(toy) == 18.0
+    assert planck_from_lattice(PhysicalConstants(c=5.0), 2.0, 3.0) == 30.0
+    assert action_quantum_from_frequency(2.0, 1.0, 3.0) == 18.0
 
 
 def test_frequency_form_equals_momentum_form_on_sound_cone():
     rng = np.random.default_rng(23)
     for _ in range(200):
         m, a, c = rng.uniform(0.1, 10.0, size=3)
-        inp = RelationInputs(m=m, a=a, omega=c / a, c=c)
-        np.testing.assert_allclose(action_quantum_from_frequency(inp),
-                                   planck_from_lattice(inp), rtol=1e-14)
+        np.testing.assert_allclose(
+            action_quantum_from_frequency(m, c / a, a),
+            planck_from_lattice(PhysicalConstants(c=c), m, a), rtol=1e-14)
 
 
 def test_medium_atom_mass_frozen_value():
@@ -308,10 +315,11 @@ def test_medium_atom_mass_frozen_value():
 def test_planck_roundtrip_identity():
     for a in (1e-25, 1e-10, 1.0, 17.3):
         m = medium_atom_mass(CONSTANTS, a)
-        inp = RelationInputs(m=m, a=a, omega=CONSTANTS.c / a)
-        np.testing.assert_allclose(planck_from_lattice(inp), CONSTANTS.h, rtol=1e-12)
-        np.testing.assert_allclose(action_quantum_from_frequency(inp),
+        np.testing.assert_allclose(planck_from_lattice(CONSTANTS, m, a),
                                    CONSTANTS.h, rtol=1e-12)
+        np.testing.assert_allclose(
+            action_quantum_from_frequency(m, CONSTANTS.c / a, a),
+            CONSTANTS.h, rtol=1e-12)
 
 
 def test_mass_for_momentum_cutoff_spacing():
@@ -320,8 +328,8 @@ def test_mass_for_momentum_cutoff_spacing():
     a_s = lattice_spacing_from_cutoff(CONSTANTS, 1e-9)
     m = medium_atom_mass(CONSTANTS, a_s)
     np.testing.assert_allclose(m, 1e-9 / CONSTANTS.c, rtol=1e-12)
-    inp = RelationInputs(m=m, a=a_s, omega=CONSTANTS.c / a_s)
-    np.testing.assert_allclose(planck_from_lattice(inp), CONSTANTS.h, rtol=1e-12)
+    np.testing.assert_allclose(planck_from_lattice(CONSTANTS, m, a_s),
+                               CONSTANTS.h, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_dim", [4.5, 4.0, True, np.float64(3.0)])

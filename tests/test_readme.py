@@ -4,21 +4,17 @@ import contextlib
 import io
 import re
 import shlex
-from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
-
-README = Path(__file__).resolve().parent.parent / "README.md"
+from conftest import README, readme_blocks, run_cli
 
 # Subcommands whose README output shows only the header line.
 ABRIDGED = ("simulate", "dispersion")
 
 
 def test_readme_python_blocks_run():
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
-                        flags=re.M | re.S)
+    blocks = readme_blocks("python")
     assert blocks
     for source in blocks:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -33,8 +29,7 @@ def readme_cli_examples():
     stdout as the README shows it.
     """
     examples = []
-    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(),
-                            flags=re.M | re.S):
+    for block in readme_blocks("sh"):
         files = {}
         for command, shown in re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)",
                                          block, flags=re.M):

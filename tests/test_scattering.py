@@ -339,6 +339,14 @@ def test_population_validation():
         PhononPopulation(g, np.array([1, 2, 3]))
     with pytest.raises(DiscretumError):
         PhononPopulation(g, -np.ones(8, dtype=int))
+    # the total and the sum of count*|label| must fit int64, exactly
+    int64_max = 2**63 - 1
+    with pytest.raises(DiscretumError, match="^phonon total must be <= "):
+        PhononPopulation.from_counts(g, {0: 2**62, 1: 2**62})
+    with pytest.raises(DiscretumError, match=r"^sum of count\*\|label\| must"):
+        PhononPopulation.from_counts(g, {4: int64_max // 4 + 1})
+    assert PhononPopulation.from_counts(g, {4: int64_max // 4}).drift == (
+        int64_max // 4 * 4)
     # counts are frozen
     pop = PhononPopulation.from_counts(g, {1: 1})
     with pytest.raises(ValueError):
@@ -412,6 +420,20 @@ def test_kmc_argument_validation():
                 mode="bogus")
     with pytest.raises(DiscretumError):
         kmc_run(pop, ChannelTable([1], [1], [2], [0], [0.1]), -1, seed=0)
+
+
+def test_kmc_rejects_a_budget_that_can_overflow_the_drift():
+    """Each event moves the drift by at most N, so |drift| + events*N must
+    fit int64; a budget at that bound is accepted."""
+    g = ModeGrid(8, UNIT)
+    table = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
+    limit = (2**63 - 1) // 8
+    trace = kmc_run(biased_population(g, 0), table, limit, seed=0)
+    assert trace.status == "no_applicable_event"
+    with pytest.raises(DiscretumError) as info:
+        kmc_run(biased_population(g, 0), table, limit + 1, seed=0)
+    assert str(info.value) == ("|drift| + events*N must be <= %d, got %d"
+                               % (2**63 - 1, 8 * (limit + 1)))
 
 
 def test_kmc_no_applicable_event_terminates():
