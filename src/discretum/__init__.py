@@ -1,16 +1,15 @@
 """discretum: harmonic-lattice kinematics, dynamics, scattering and operator checks."""
 
-from .dispersion import (CONSTANTS, PROTON_MASS, CutoffComparison,
-                         CutoffEstimate, ModeGrid, OscillatorParams,
-                         PhysicalConstants, bz_extent, chain_dispersion,
-                         compare_cutoffs, cutoff_momentum,
+from .dispersion import (ELECTRON_VOLT, PLANCK_CONSTANT, PROTON_MASS,
+                         SPEED_OF_LIGHT, CutoffComparison, CutoffEstimate,
+                         ModeGrid, OscillatorParams, bz_extent,
+                         chain_dispersion, compare_cutoffs, cutoff_momentum,
                          lattice_spacing_from_cutoff, mode_wave_number,
                          sound_speed)
 from .dynamics import (ChainState, InitSpec, ModeAmplitudes, SimConfig,
                        SimResult, advance, init_plane_wave, mode_energies,
                        random_state, run_sim, step, to_modes, total_energy)
-from .errors import (DegenerateBasisError, DiscretumError, StabilityWarning,
-                     SubRestMassError)
+from .errors import DiscretumError, StabilityWarning
 from .lattice import (FoldedVector, GVector, LatticeBasis, ReciprocalBasis,
                       fold_to_bz, g_vector, lattice_phase, lattice_point,
                       reciprocal_basis)

@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 
 from . import dynamics, lattice, quantum_bridge, scattering
-from .dispersion import (CONSTANTS, MAX_Q_SAMPLES, ModeGrid, OscillatorParams,
-                         chain_dispersion, compare_cutoffs)
+from .dispersion import (ELECTRON_VOLT, MAX_Q_SAMPLES, SPEED_OF_LIGHT,
+                         ModeGrid, OscillatorParams, chain_dispersion,
+                         compare_cutoffs)
 from .errors import DiscretumError, require_finite, require_int
 
 
@@ -137,13 +138,13 @@ def _cmd_dispersion(args):
     edge = math.pi / args.a
     require_finite("zone edge pi/a", edge)
     qs = np.linspace(-edge, edge, args.q_samples)
-    return emit_csv(("q", "omega"), "%.17g,%.17g\n", np.column_stack(
-        [qs, chain_dispersion(params, qs)]).tolist())
+    return emit_csv(("q", "omega"), "%.17g,%.17g\n", zip(
+        qs.tolist(), chain_dispersion(params, qs).tolist()))
 
 
 def _cmd_cutoff(args):
-    m_p = args.mp_MeV * 1e6 * CONSTANTS.eV / CONSTANTS.c**2
-    comp = compare_cutoffs(CONSTANTS, args.Eb_eV * CONSTANTS.eV, m_p,
+    m_p = args.mp_MeV * 1e6 * ELECTRON_VOLT / SPEED_OF_LIGHT**2
+    comp = compare_cutoffs(args.Eb_eV * ELECTRON_VOLT, m_p,
                            args.stated_momentum)
     keys = ("E_b", "p_cut", "a_s", "bz_extent")
     return emit_json({
@@ -166,8 +167,8 @@ def _cmd_commutator(args):
 
 
 def _cmd_planck(args):
-    mass = quantum_bridge.medium_atom_mass(CONSTANTS, args.a)
-    h = quantum_bridge.planck_from_lattice(CONSTANTS, mass, args.a)
+    mass = quantum_bridge.medium_atom_mass(args.a)
+    h = quantum_bridge.planck_from_lattice(mass, args.a)
     return emit_json({"mass_kg": mass, "h_roundtrip": h}) + "\n"
 
 

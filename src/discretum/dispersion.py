@@ -13,31 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DiscretumError, SubRestMassError, require_finite,
-                     require_int, require_positive)
+from .errors import (DiscretumError, require_finite, require_int,
+                     require_positive)
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants used by the estimators (all exact defining values)."""
-
-    c: float = 2.99792458e8          # m/s
-    h: float = 6.62607015e-34        # J s
-    eV: float = 1.602176634e-19      # J
-
-    def __post_init__(self):
-        for name in ("c", "h", "eV"):
-            require_positive(name, getattr(self, name))
-
-    @property
-    def hbar(self):
-        return self.h / (2.0 * math.pi)
-
-
-CONSTANTS = PhysicalConstants()
-
+# SI defining constants, exact under the 2019 SI.
+SPEED_OF_LIGHT = 2.99792458e8     # m/s
+PLANCK_CONSTANT = 6.62607015e-34  # J s
+ELECTRON_VOLT = 1.602176634e-19   # J
 # 938.272 MeV/c^2
-PROTON_MASS = 938.272e6 * CONSTANTS.eV / CONSTANTS.c**2
+PROTON_MASS = 938.272e6 * ELECTRON_VOLT / SPEED_OF_LIGHT**2
 CUTOFF_RTOL = 0.01  # compare_cutoffs' relative tolerance on the momenta
 _SQUARE_LIMIT = math.sqrt(np.finfo(float).max)
 # The dispersion command's cap on --q-samples: its table is ~40 MB of text.
@@ -139,25 +124,26 @@ def _require_squarable(*named):
                                  % (name, _SQUARE_LIMIT, value))
 
 
-def cutoff_momentum(consts, E_b, m_p):
+def cutoff_momentum(E_b, m_p):
     """Relativistic momentum sqrt(E_b^2/c^2 - m_p^2 c^2) for total energy E_b."""
     require_positive("E_b", E_b)
     require_finite("m_p", m_p)
-    rest = m_p * consts.c**2
+    rest = m_p * SPEED_OF_LIGHT**2
     if E_b < rest:
-        raise SubRestMassError(
+        raise DiscretumError(
             "energy bound %.6e J is below rest energy %.6e J" % (E_b, rest))
-    _require_squarable(("E_b/c", E_b / consts.c), ("m_p*c", m_p * consts.c))
+    _require_squarable(("E_b/c", E_b / SPEED_OF_LIGHT),
+                       ("m_p*c", m_p * SPEED_OF_LIGHT))
     # Guard the radicand: at the threshold E_b == rest the two squared terms
     # cancel and rounding may leave a signless residue either side of zero.
-    diff = (E_b / consts.c) ** 2 - (m_p * consts.c) ** 2
+    diff = (E_b / SPEED_OF_LIGHT) ** 2 - (m_p * SPEED_OF_LIGHT) ** 2
     return math.sqrt(diff) if diff > 0.0 else 0.0
 
 
-def lattice_spacing_from_cutoff(consts, p_cut):
+def lattice_spacing_from_cutoff(p_cut):
     """Spacing a_s = h/p_cut at which the zone edge sits at momentum p_cut."""
     require_positive("cutoff momentum", p_cut)
-    return consts.h / p_cut
+    return PLANCK_CONSTANT / p_cut
 
 
 def bz_extent(a_s):
@@ -171,26 +157,27 @@ class CutoffEstimate:
     """One full estimation chain: energy bound -> momentum -> spacing -> zone."""
 
     E_b: float
-    m_p: float
     p_cut: float
     a_s: float
     bz_extent: float
 
     @classmethod
-    def from_energy(cls, consts, E_b, m_p):
+    def from_energy(cls, E_b, m_p):
         """Chain starting from an energy bound, via the exact momentum formula."""
-        p = cutoff_momentum(consts, E_b, m_p)
-        a_s = lattice_spacing_from_cutoff(consts, p)
-        return cls(E_b=E_b, m_p=m_p, p_cut=p, a_s=a_s, bz_extent=bz_extent(a_s))
+        p = cutoff_momentum(E_b, m_p)
+        a_s = lattice_spacing_from_cutoff(p)
+        return cls(E_b=E_b, p_cut=p, a_s=a_s, bz_extent=bz_extent(a_s))
 
     @classmethod
-    def from_momentum(cls, consts, p_cut, m_p):
+    def from_momentum(cls, p_cut, m_p):
         """Chain starting from a quoted momentum; E_b back-filled from it."""
-        a_s = lattice_spacing_from_cutoff(consts, p_cut)
-        _require_squarable(("cutoff momentum", p_cut), ("m_p*c", m_p * consts.c))
-        E_b = consts.c * math.sqrt(p_cut**2 + (m_p * consts.c) ** 2)
-        return cls(E_b=E_b, m_p=m_p, p_cut=p_cut, a_s=a_s,
-                   bz_extent=bz_extent(a_s))
+        a_s = lattice_spacing_from_cutoff(p_cut)
+        _require_squarable(("cutoff momentum", p_cut),
+                           ("m_p*c", m_p * SPEED_OF_LIGHT))
+        # Each square is finite, but their sum can still overflow.
+        E_b = SPEED_OF_LIGHT * math.sqrt(p_cut**2 + (m_p * SPEED_OF_LIGHT) ** 2)
+        require_finite("back-filled E_b", E_b)
+        return cls(E_b=E_b, p_cut=p_cut, a_s=a_s, bz_extent=bz_extent(a_s))
 
 
 @dataclass(frozen=True)
@@ -202,13 +189,13 @@ class CutoffComparison:
     consistent: bool
 
 
-def compare_cutoffs(consts, E_b, m_p, stated_momentum):
+def compare_cutoffs(E_b, m_p, stated_momentum):
     """Run both estimation chains and flag whether their momenta agree.
 
     `consistent` is True when the exact-formula momentum for (E_b, m_p) and
     the separately stated momentum agree within CUTOFF_RTOL relative.
     """
-    exact = CutoffEstimate.from_energy(consts, E_b, m_p)
-    stated = CutoffEstimate.from_momentum(consts, stated_momentum, m_p)
+    exact = CutoffEstimate.from_energy(E_b, m_p)
+    stated = CutoffEstimate.from_momentum(stated_momentum, m_p)
     consistent = abs(exact.p_cut - stated.p_cut) <= CUTOFF_RTOL * exact.p_cut
     return CutoffComparison(exact=exact, stated=stated, consistent=consistent)

@@ -5,15 +5,7 @@ import numbers
 
 
 class DiscretumError(ValueError):
-    """Base class for all discretum input/validation errors."""
-
-
-class DegenerateBasisError(DiscretumError):
-    """Raised when lattice basis vectors are collinear/coplanar."""
-
-
-class SubRestMassError(DiscretumError):
-    """Raised when an energy bound lies below the particle rest energy."""
+    """The error every discretum input or validation check raises."""
 
 
 class StabilityWarning(UserWarning):

@@ -12,8 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DiscretumError, require_int
+from .errors import DiscretumError, require_int
 
+# A basis is degenerate when |det| <= EPS_DEGENERATE*|a_1|...|a_dim|: the cell
+# volume over the product of its edge lengths is free of the unit of length.
 EPS_DEGENERATE = 1e-12
 
 # Folding searches candidate reciprocal vectors in integer shells
@@ -26,9 +28,9 @@ FOLD_SHELLS = 3
 FOLD_MAX_ZONES = 1e-9 / np.finfo(float).eps  # about 4.5e6
 
 # Two candidate representatives whose squared norms differ by less than
-# _TIE_EPS*(1 + |k|^2) count as a tie (zone-boundary case) and the
-# lexicographically largest representative wins.  The window is far above
-# float noise and far below any genuine norm gap.
+# _TIE_EPS*(|A|^2 + |B|^2 + |C|^2 + |k|^2), A, B, C the reciprocal basis,
+# count as a tie (zone-boundary case) and the lexicographically largest wins.
+# The window scales with the cell: far above float noise, far below any gap.
 _TIE_EPS = 1e-12
 
 
@@ -36,16 +38,16 @@ def _as_matrix(vectors):
     try:
         mat = np.array(vectors, dtype=float)
     except (TypeError, ValueError):
-        raise DegenerateBasisError(
+        raise DiscretumError(
             "basis vectors must be equal-length rows of numbers") from None
     if not np.isfinite(mat).all():
-        raise DegenerateBasisError("basis vectors must be finite")
+        raise DiscretumError("basis vectors must be finite")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DegenerateBasisError(
+        raise DiscretumError(
             "basis must be a square matrix of row vectors, got shape %s"
             % (mat.shape,))
     if mat.shape[0] not in (1, 2, 3):
-        raise DegenerateBasisError("dim must be 1, 2 or 3, got %d" % mat.shape[0])
+        raise DiscretumError("dim must be 1, 2 or 3, got %d" % mat.shape[0])
     mat.setflags(write=False)
     return mat
 
@@ -58,10 +60,11 @@ class LatticeBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _as_matrix(self.vectors))
-        det = np.linalg.det(self.vectors)
-        if abs(det) <= EPS_DEGENERATE:
-            raise DegenerateBasisError("degenerate basis: |det| = %.3e <= %.3e"
-                                       % (abs(det), EPS_DEGENERATE))
+        det = abs(np.linalg.det(self.vectors))
+        bound = EPS_DEGENERATE * np.prod(np.linalg.norm(self.vectors, axis=1))
+        if det <= bound:
+            raise DiscretumError("degenerate basis: |det| = %.3e <= %.3e"
+                                 % (det, bound))
 
     @property
     def dim(self):
@@ -207,7 +210,8 @@ def fold_to_bz(recip, k):
     reps = k - cand @ recip.vectors
     norms2 = np.einsum("ij,ij->i", reps, reps)
     nmin = norms2.min()
-    eligible = np.flatnonzero(norms2 <= nmin + _TIE_EPS * (1.0 + nmin))
+    cell2 = np.einsum("ij,ij->", recip.vectors, recip.vectors)
+    eligible = np.flatnonzero(norms2 <= nmin + _TIE_EPS * (cell2 + nmin))
     best = max(eligible, key=lambda i: tuple(reps[i]))
     g = g_vector(recip, *(int(c) for c in cand[best]))
     return FoldedVector(k - g.cartesian, g)

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dispersion import PLANCK_CONSTANT, SPEED_OF_LIGHT
 from .errors import DiscretumError, require_int, require_positive
 
 
@@ -46,10 +47,6 @@ class NcExpression:
     def symbol(cls, name):
         return cls({(name,): {0: Fraction(1)}})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     @property
     def is_zero(self):
         return not self.terms
@@ -73,7 +70,7 @@ class NcExpression:
 
     def substitute(self, mapping):
         """Replace symbols by expressions (identity for unlisted symbols)."""
-        result = NcExpression.zero()
+        result = NcExpression()
         for word, poly in self.terms.items():
             prod = NcExpression({(): dict(poly)})
             for sym in word:
@@ -253,16 +250,16 @@ def oscillator_spectrum(n_levels, m, omega, hbar=1.0):
     return _levels(oscillator_hamiltonian(q, p, m, omega), n_levels)
 
 
-def planck_from_lattice(consts, m, a):
+def planck_from_lattice(m, a):
     """Action quantum m*c*a = m*omega*a^2 of atom mass m, spacing a and
     frequency omega = c/a, each of which must be finite and positive."""
     require_positive("m", m)
     require_positive("a", a)
-    require_positive("omega", consts.c / a)
-    return m * consts.c * a
+    require_positive("omega", SPEED_OF_LIGHT / a)
+    return m * SPEED_OF_LIGHT * a
 
 
-def medium_atom_mass(consts, a):
+def medium_atom_mass(a):
     """Mass h/(c*a) for which the medium's action quantum is Planck's h."""
     require_positive("spacing", a)
-    return consts.h / (consts.c * a)
+    return PLANCK_CONSTANT / (SPEED_OF_LIGHT * a)

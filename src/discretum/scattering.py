@@ -33,6 +33,9 @@ from .errors import DiscretumError, require_finite, require_int
 # Default frequency-residual tolerance as a fraction of omega_max.
 DEFAULT_TOL_FACTOR = 0.05
 KMC_MODES = ("all", "normal")  # kmc_run's event sets: every row, or g == 0
+# Largest grid enumerate_three_phonon accepts: a tolerance that admits every
+# pair gives N(N+1)/2 channels of 40 bytes, 2 098 176 (84 MB) at this N.
+MAX_SITES = 2048
 # enumerate_three_phonon computes the residuals of whole n1 rows in blocks of
 # about this many floats (128 kB), so its scratch memory does not grow as N^2.
 ENUM_BLOCK_FLOATS = 1 << 14
@@ -139,8 +142,9 @@ def enumerate_three_phonon(grid, tol_omega):
     of the returned ChannelTable are ordered by (n1, n2) ascending and are
     deterministic.  The n1 rows are handled as arrays in blocks of about
     ENUM_BLOCK_FLOATS residuals each, so memory stays at one block plus the
-    size of the result.
+    size of the result.  A grid above MAX_SITES sites is rejected first.
     """
+    require_int("n_sites", grid.n_sites, maximum=MAX_SITES)
     require_finite("tol_omega", tol_omega)
     if tol_omega < 0:
         raise DiscretumError("tol_omega must be >= 0")

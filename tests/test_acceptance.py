@@ -13,7 +13,8 @@ import numpy as np
 import conftest
 from conftest import random_basis_matrix, run_cli, zero_crossing_frequency
 from discretum import (
-    CONSTANTS,
+    ELECTRON_VOLT,
+    PLANCK_CONSTANT,
     PROTON_MASS,
     ChannelTable,
     LatticeBasis,
@@ -86,8 +87,8 @@ def test_01_folding_invariance_suite():
 
 
 def test_02_cutoff_estimation_chain():
-    a_stated = lattice_spacing_from_cutoff(CONSTANTS, 1.0e-9)
-    cmp = compare_cutoffs(CONSTANTS, 1.0e21 * CONSTANTS.eV, PROTON_MASS, 1.0e-9)
+    a_stated = lattice_spacing_from_cutoff(1.0e-9)
+    cmp = compare_cutoffs(1.0e21 * ELECTRON_VOLT, PROTON_MASS, 1.0e-9)
     extent = bz_extent(1.0e-25)
     in_band = 6.0e-25 <= a_stated <= 7.0e-25
     exact_ok = abs(cmp.exact.p_cut - 5.34e-7) <= 1e-2 * 5.34e-7
@@ -305,10 +306,10 @@ def test_10_symbolic_reduction():
 
 
 def test_11_planck_relation_roundtrip():
-    mass = medium_atom_mass(CONSTANTS, 1.0e-25)
+    mass = medium_atom_mass(1.0e-25)
     mass_ok = abs(mass - 2.21e-17) <= 1e-3 * 2.21e-17
-    h_back = planck_from_lattice(CONSTANTS, mass, 1.0e-25)
-    rel = abs(h_back - CONSTANTS.h) / CONSTANTS.h
+    h_back = planck_from_lattice(mass, 1.0e-25)
+    rel = abs(h_back - PLANCK_CONSTANT) / PLANCK_CONSTANT
     round_ok = rel <= 1e-12
     ok = mass_ok and round_ok
     _report(11, ok, "medium mass %.6e ~ 2.21e-17 kg; h roundtrip rel error "

@@ -15,8 +15,10 @@ import pytest
 
 from conftest import run_cli
 from discretum import (
-    CONSTANTS,
     DEFAULT_TOL_FACTOR,
+    ELECTRON_VOLT,
+    PLANCK_CONSTANT,
+    SPEED_OF_LIGHT,
     LatticeBasis,
     ModeGrid,
     OscillatorParams,
@@ -34,6 +36,7 @@ from discretum import (
     planck_from_lattice,
     reciprocal_basis,
     run_sim,
+    scattering,
 )
 UNIT = OscillatorParams(kappa=1.0, m=1.0, a=1.0)
 
@@ -111,6 +114,21 @@ def test_fold_rejects_bad_basis_entries(tmp_path, vectors, message):
     status, out, err = run_cli("fold", "--basis", str(path), "--k", "1.0")
     assert (status, out) == (2, "")
     assert err == "discretum fold: %s\n" % message
+
+
+@pytest.mark.parametrize("vectors,k", [
+    ([[1e8]], [1.8849555921538759e-08]),
+    ([[6.6e-25, 0, 0], [0, 6.6e-25, 0], [0, 0, 6.6e-25]], [3e24, -1e24, 5e23]),
+], ids=["1e8-segment", "6.6e-25-cube"])
+def test_fold_at_any_length_scale(tmp_path, vectors, k):
+    """A k inside the first zone folds to itself whatever the unit of
+    length: 0.3 of a zone of the 1e8 segment once folded 3.3 zones away,
+    and the cube of the cutoff spacing was once rejected as degenerate."""
+    basis = write_basis(tmp_path, len(k), vectors)
+    status, out, err = run_cli("fold", "--basis", basis,
+                               "--k=" + ",".join(map(repr, k)))
+    assert (status, err) == (0, "")
+    assert json.loads(out) == {"k_folded": k, "g_indices": [0] * len(k)}
 
 
 def test_fold_degenerate_basis(tmp_path):
@@ -251,6 +269,20 @@ def test_processes_empty_table():
     assert out == "n1,n2,n3,g,delta_omega,kind\n"
 
 
+@pytest.mark.parametrize("argv", [("processes",),
+                                  ("thermalize", "--events", "5")],
+                         ids=["processes", "thermalize"])
+def test_grid_size_cap(argv, monkeypatch):
+    """--n at scattering.MAX_SITES runs; one more site exits 2 before the
+    channel table is built."""
+    monkeypatch.setattr(scattering, "MAX_SITES", 12)
+    status, out, err = run_cli(*argv, "--tol", "0.2", "--n", "12")
+    assert (status, err) == (0, "") and out
+    status, out, err = run_cli(*argv, "--tol", "0.2", "--n", "13")
+    assert (status, out) == (2, "")
+    assert err == "discretum %s: n_sites must be <= 12, got 13\n" % argv[0]
+
+
 @pytest.mark.parametrize("command", ["processes", "thermalize"])
 def test_non_finite_tolerance_exits_2(command):
     status, out, err = run_cli(command, "--tol", "nan")
@@ -321,6 +353,10 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
      "cutoff momentum must be below 1.34078e+154, got 1e+308"),
     (("cutoff", "--mp-MeV=-1e200", "--Eb-eV", "1"),
      "m_p*c must be below 1.34078e+154, got -5.344285992678308e+178"),
+    # Each square is below the float maximum; their sum is not.
+    (("cutoff", "--Eb-eV", "2.45e181", "--mp-MeV", "2.4e175",
+      "--stated-momentum", "1.3e154"),
+     "back-filled E_b must be a finite number, got inf"),
     # Drifts are int64: a population or budget that could wrap one exits 2.
     (("thermalize", "--n", "8", "--tol", "1", "--phonons",
       "4611686018427387904", "--events", "0"),
@@ -346,6 +382,7 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
         "thermalize-seed", "dispersion-q-samples",
         "dispersion-q-samples-at-cap", "dispersion-q-samples-over-cap",
         "cutoff-Eb-square", "cutoff-stated-square", "cutoff-mp-square",
+        "cutoff-back-filled-Eb",
         "thermalize-label-sum", "thermalize-label-sum-max-phonons",
         "thermalize-phonons-2**64", "thermalize-event-budget"])
 def test_numeric_boundary_exits_2(argv, message):
@@ -529,8 +566,8 @@ def _cutoff_chain(est):
     (2.5e12, 0.511, 3e-15),
 ], ids=["default", "consistent", "electron"])
 def test_cutoff_bytes_match_reference(eb_ev, mp_mev, stated):
-    m_p = mp_mev * 1e6 * CONSTANTS.eV / CONSTANTS.c**2
-    comp = compare_cutoffs(CONSTANTS, eb_ev * CONSTANTS.eV, m_p, stated)
+    m_p = mp_mev * 1e6 * ELECTRON_VOLT / SPEED_OF_LIGHT**2
+    comp = compare_cutoffs(eb_ev * ELECTRON_VOLT, m_p, stated)
     expected = reference_json({"exact": _cutoff_chain(comp.exact),
                                "stated": _cutoff_chain(comp.stated),
                                "consistent": comp.consistent}) + "\n"
@@ -554,10 +591,10 @@ def test_commutator_bytes_match_reference(n, hbar, m, omega):
 
 @pytest.mark.parametrize("a", [1e-25, 3.7e-19])
 def test_planck_bytes_match_reference(a):
-    mass = medium_atom_mass(CONSTANTS, a)
+    mass = medium_atom_mass(a)
     expected = reference_json({
         "mass_kg": mass,
-        "h_roundtrip": planck_from_lattice(CONSTANTS, mass, a)}) + "\n"
+        "h_roundtrip": planck_from_lattice(mass, a)}) + "\n"
     assert_stdout(("planck", "--a", repr(a)), expected)
 
 
@@ -845,7 +882,7 @@ def test_planck_json():
     assert status == 0 and err == ""
     data = json.loads(out)
     np.testing.assert_allclose(data["mass_kg"], 2.2102190943e-17, rtol=1e-9)
-    np.testing.assert_allclose(data["h_roundtrip"], CONSTANTS.h, rtol=1e-12)
+    np.testing.assert_allclose(data["h_roundtrip"], PLANCK_CONSTANT, rtol=1e-12)
 
 
 def test_planck_byte_determinism():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from discretum import (
-    CONSTANTS,
+    ELECTRON_VOLT,
+    PLANCK_CONSTANT,
     PROTON_MASS,
+    SPEED_OF_LIGHT,
     CutoffEstimate,
     DiscretumError,
     ModeGrid,
     OscillatorParams,
-    PhysicalConstants,
-    SubRestMassError,
     bz_extent,
     chain_dispersion,
     compare_cutoffs,
@@ -23,10 +23,9 @@ from discretum.errors import require_finite, require_int, require_positive
 
 
 def test_constants_values():
-    assert CONSTANTS.c == 2.99792458e8
-    assert CONSTANTS.h == 6.62607015e-34
-    assert CONSTANTS.eV == 1.602176634e-19
-    np.testing.assert_allclose(CONSTANTS.hbar, CONSTANTS.h / (2 * math.pi), rtol=1e-15)
+    assert SPEED_OF_LIGHT == 2.99792458e8
+    assert PLANCK_CONSTANT == 6.62607015e-34
+    assert ELECTRON_VOLT == 1.602176634e-19
     # proton rest mass from its rest energy in MeV
     np.testing.assert_allclose(PROTON_MASS, 1.6726217665e-27, rtol=1e-9)
 
@@ -133,47 +132,46 @@ def test_chain_dispersion_linear_limit():
 
 
 def test_cutoff_momentum_threshold_and_massless():
-    c = CONSTANTS.c
+    c = SPEED_OF_LIGHT
     # at the rest energy the momentum vanishes
     m = 1e-27
-    assert cutoff_momentum(CONSTANTS, m * c * c, m) == 0.0
-    # exact-arithmetic check with toy constants (c = 1 avoids any rounding)
-    toy = PhysicalConstants(c=1.0, h=1.0, eV=1.0)
-    assert cutoff_momentum(toy, 2.5, 2.5) == 0.0
+    assert cutoff_momentum(m * c * c, m) == 0.0
+    assert cutoff_momentum(2.5 * c**2, 2.5) == 0.0
     # massless limit: p = E/c
     np.testing.assert_allclose(
-        cutoff_momentum(CONSTANTS, 3.0e8, 0.0), 1.0006922855944561, rtol=1e-12)
+        cutoff_momentum(3.0e8, 0.0), 1.0006922855944561, rtol=1e-12)
 
 
 def test_cutoff_momentum_extreme_energy_proton():
-    e_b = 1.0e21 * CONSTANTS.eV
-    p = cutoff_momentum(CONSTANTS, e_b, PROTON_MASS)
+    e_b = 1.0e21 * ELECTRON_VOLT
+    p = cutoff_momentum(e_b, PROTON_MASS)
     np.testing.assert_allclose(p, 5.3442859927e-7, rtol=1e-9)
     # ultra-relativistic: indistinguishable from E/c at this energy
-    np.testing.assert_allclose(p, e_b / CONSTANTS.c, rtol=1e-12)
+    np.testing.assert_allclose(p, e_b / SPEED_OF_LIGHT, rtol=1e-12)
 
 
 def test_cutoff_momentum_monotone_in_energy():
     m = PROTON_MASS
-    energies = np.geomspace(1.1, 1e12, 25) * m * CONSTANTS.c ** 2
-    ps = [cutoff_momentum(CONSTANTS, e, m) for e in energies]
+    energies = np.geomspace(1.1, 1e12, 25) * m * SPEED_OF_LIGHT ** 2
+    ps = [cutoff_momentum(e, m) for e in energies]
     assert all(a < b for a, b in zip(ps, ps[1:]))
 
 
 def test_cutoff_momentum_below_rest_energy_raises():
     m = 1e-27
-    with pytest.raises(SubRestMassError):
-        cutoff_momentum(CONSTANTS, 0.5 * m * CONSTANTS.c ** 2, m)
+    with pytest.raises(DiscretumError, match="^energy bound .* is below rest "
+                                             "energy"):
+        cutoff_momentum(0.5 * m * SPEED_OF_LIGHT ** 2, m)
 
 
 def test_lattice_spacing_examples():
-    a1 = lattice_spacing_from_cutoff(CONSTANTS, 1.0e-9)
+    a1 = lattice_spacing_from_cutoff(1.0e-9)
     np.testing.assert_allclose(a1, 6.62607015e-25, rtol=1e-12)
     assert 6e-25 < a1 < 7e-25
     # h itself as momentum gives 1 m
-    np.testing.assert_allclose(lattice_spacing_from_cutoff(CONSTANTS, CONSTANTS.h), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(lattice_spacing_from_cutoff(PLANCK_CONSTANT), 1.0, rtol=1e-15)
     with pytest.raises(DiscretumError):
-        lattice_spacing_from_cutoff(CONSTANTS, 0.0)
+        lattice_spacing_from_cutoff(0.0)
 
 
 def test_bz_extent_examples():
@@ -187,23 +185,24 @@ def test_bz_extent_examples():
 def test_momentum_spacing_roundtrip():
     rng = np.random.default_rng(17)
     for p in rng.uniform(1e-12, 1e3, size=40):
-        a = lattice_spacing_from_cutoff(CONSTANTS, p)
-        np.testing.assert_allclose(bz_extent(a) * CONSTANTS.hbar, p, rtol=1e-12)
+        a = lattice_spacing_from_cutoff(p)
+        np.testing.assert_allclose(
+            bz_extent(a) * PLANCK_CONSTANT / (2 * math.pi), p, rtol=1e-12)
 
 
 def test_cutoff_estimate_consistency():
-    est = CutoffEstimate.from_energy(CONSTANTS, 1.0e21 * CONSTANTS.eV, PROTON_MASS)
-    np.testing.assert_allclose(est.a_s * est.p_cut, CONSTANTS.h, rtol=1e-12)
+    est = CutoffEstimate.from_energy(1.0e21 * ELECTRON_VOLT, PROTON_MASS)
+    np.testing.assert_allclose(est.a_s * est.p_cut, PLANCK_CONSTANT, rtol=1e-12)
     np.testing.assert_allclose(est.a_s, 1.2398419843e-27, rtol=1e-9)
-    est2 = CutoffEstimate.from_momentum(CONSTANTS, 1.0e-9, PROTON_MASS)
-    np.testing.assert_allclose(est2.a_s * est2.p_cut, CONSTANTS.h, rtol=1e-12)
+    est2 = CutoffEstimate.from_momentum(1.0e-9, PROTON_MASS)
+    np.testing.assert_allclose(est2.a_s * est2.p_cut, PLANCK_CONSTANT, rtol=1e-12)
     # back-filled energy reproduces the momentum
     np.testing.assert_allclose(
-        cutoff_momentum(CONSTANTS, est2.E_b, PROTON_MASS), 1.0e-9, rtol=1e-9)
+        cutoff_momentum(est2.E_b, PROTON_MASS), 1.0e-9, rtol=1e-9)
 
 
 def test_compare_cutoffs_headline_numbers_disagree():
-    cmp = compare_cutoffs(CONSTANTS, 1.0e21 * CONSTANTS.eV, PROTON_MASS, 1.0e-9)
+    cmp = compare_cutoffs(1.0e21 * ELECTRON_VOLT, PROTON_MASS, 1.0e-9)
     assert not cmp.consistent
     # the two momentum scales differ by hundreds of times
     assert cmp.exact.p_cut / cmp.stated.p_cut > 100.0
@@ -212,19 +211,20 @@ def test_compare_cutoffs_headline_numbers_disagree():
 
 
 def test_compare_cutoffs_agrees_on_matching_momentum():
-    e_b = 1.0e21 * CONSTANTS.eV
-    p_exact = cutoff_momentum(CONSTANTS, e_b, PROTON_MASS)
-    cmp = compare_cutoffs(CONSTANTS, e_b, PROTON_MASS, p_exact * 1.001)
+    e_b = 1.0e21 * ELECTRON_VOLT
+    p_exact = cutoff_momentum(e_b, PROTON_MASS)
+    cmp = compare_cutoffs(e_b, PROTON_MASS, p_exact * 1.001)
     assert cmp.consistent
-    cmp2 = compare_cutoffs(CONSTANTS, e_b, PROTON_MASS, p_exact * 1.02)
+    cmp2 = compare_cutoffs(e_b, PROTON_MASS, p_exact * 1.02)
     assert not cmp2.consistent
 
 
-def test_custom_constants_object():
-    toy = PhysicalConstants(c=1.0, h=2 * math.pi, eV=1.0)
-    assert toy.hbar == 1.0
-    np.testing.assert_allclose(cutoff_momentum(toy, 5.0, 3.0), 4.0, rtol=1e-15)
-    np.testing.assert_allclose(lattice_spacing_from_cutoff(toy, 4.0), math.pi / 2, rtol=1e-15)
+def test_cutoff_formulas_on_si_inputs():
+    """E_b = 5*c*X and m_p = 3*X/c give p = sqrt(25 - 9)*X = 4*X."""
+    x, c = 1e-9, SPEED_OF_LIGHT
+    np.testing.assert_allclose(cutoff_momentum(5 * c * x, 3 * x / c), 4 * x, rtol=1e-15)
+    np.testing.assert_allclose(lattice_spacing_from_cutoff(4 * x),
+                               PLANCK_CONSTANT / (4 * x), rtol=1e-15)
 
 
 @pytest.mark.parametrize("kappa,m,a", [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import random_basis_matrix
 from discretum import (
-    DegenerateBasisError,
     DiscretumError,
     FoldedVector,
     GVector,
@@ -262,6 +261,23 @@ def test_fold_translation_invariance_property(dim, basis_seed, k, shift):
     assert np.array_equal(np.subtract(b.g.indices, a.g.indices), shift)
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(exponent=st.integers(-80, 80), **fold_cases)
+def test_fold_is_independent_of_the_unit_of_length(dim, basis_seed, k,
+                                                    exponent):
+    """A cell scaled by s = 2**exponent, with k scaled by 1/s, is accepted
+    and folds to the same G and to k_folded/s.  Scaling by a power of two
+    is exact, so the results are expected to be bit-equal."""
+    mat = random_basis_matrix(np.random.default_rng(basis_seed), dim)
+    k = np.array(k[:dim])
+    unit = fold_to_bz(reciprocal_basis(LatticeBasis(mat)), k)
+    scaled = fold_to_bz(reciprocal_basis(LatticeBasis(np.ldexp(mat, exponent))),
+                        np.ldexp(k, -exponent))
+    assert scaled.g.indices == unit.g.indices
+    np.testing.assert_allclose(np.ldexp(scaled.k_folded, exponent),
+                               unit.k_folded, rtol=1e-12, atol=0)
+
+
 def test_folded_vector_is_shortest_image():
     rng = np.random.default_rng(77)
     mat = random_basis_matrix(rng, 3)
@@ -291,9 +307,9 @@ def test_is_equivalent():
 
 
 def test_degenerate_basis_rejected():
-    with pytest.raises(DegenerateBasisError):
+    with pytest.raises(DiscretumError, match="^degenerate basis"):
         reciprocal_basis(LatticeBasis(vectors=np.array([[1.0, 0.0], [2.0, 0.0]])))
-    with pytest.raises(DegenerateBasisError):
+    with pytest.raises(DiscretumError, match="^degenerate basis"):
         reciprocal_basis(LatticeBasis(vectors=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])))
 
 
@@ -302,7 +318,7 @@ def test_degenerate_basis_rejected():
     [[1.0, 0.0], [0.0, -math.inf]], [[None]],
 ], ids=["ragged", "string", "object", "nan", "inf", "minus-inf", "none"])
 def test_basis_rejects_non_numeric_entries(vectors):
-    with pytest.raises(DegenerateBasisError, match="^basis vectors must be"):
+    with pytest.raises(DiscretumError, match="^basis vectors must be"):
         LatticeBasis(vectors)
 
 

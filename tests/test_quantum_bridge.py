@@ -6,11 +6,11 @@ import pytest
 
 from conftest import action_quantum_from_frequency, dense_band_matrix
 from discretum import (
-    CONSTANTS,
+    PLANCK_CONSTANT,
+    SPEED_OF_LIGHT,
     DiscretumError,
     NcExpression,
     OperatorMatrix,
-    PhysicalConstants,
     build_qp_matrices,
     commutator_defect,
     ground_energy,
@@ -29,7 +29,7 @@ Q = NcExpression.symbol("q")
 
 
 def test_expression_basics():
-    assert NcExpression.zero().is_zero
+    assert NcExpression().is_zero
     assert (P - P).is_zero
     assert not (P + Q).is_zero
     assert P + Q == Q + P
@@ -97,7 +97,7 @@ def test_reduction_collapses_to_commutator_form():
 
 def test_reduction_repr_is_stable():
     assert repr(reduce_mode_hamiltonian()) == "(1/2)*w*pq + (-1/2)*w*qp"
-    assert repr(NcExpression.zero()) == "0"
+    assert repr(NcExpression()) == "0"
 
 
 def test_operator_matrix_validation():
@@ -274,7 +274,7 @@ def test_spectrum_exact_ladder(n_levels):
 
 
 def test_spectrum_physical_scales():
-    hbar = CONSTANTS.hbar
+    hbar = PLANCK_CONSTANT / (2 * math.pi)
     omega = 1e10
     got = oscillator_spectrum(6, 1e-27, omega, hbar=hbar)
     np.testing.assert_allclose(got, hbar * omega * (np.arange(6) + 0.5), rtol=1e-8)
@@ -282,54 +282,54 @@ def test_spectrum_physical_scales():
 
 def test_relation_inputs_validation():
     with pytest.raises(DiscretumError, match="^m must be > 0"):
-        planck_from_lattice(CONSTANTS, 0.0, 1.0)
+        planck_from_lattice(0.0, 1.0)
     with pytest.raises(DiscretumError, match="^a must be > 0"):
-        planck_from_lattice(CONSTANTS, 1.0, -1.0)
+        planck_from_lattice(1.0, -1.0)
     # omega = c/a must be finite too
     with pytest.raises(DiscretumError, match="^omega must be a finite number"):
-        planck_from_lattice(CONSTANTS, 1.0, 1e-301)
-    assert planck_from_lattice(CONSTANTS, 1.0, 1.0) == CONSTANTS.c
+        planck_from_lattice(1.0, 1e-301)
+    assert planck_from_lattice(1.0, 1.0) == SPEED_OF_LIGHT
 
 
 def test_action_quantum_values():
-    assert planck_from_lattice(PhysicalConstants(c=5.0), 2.0, 3.0) == 30.0
+    assert planck_from_lattice(2.0, 3.0) == 2.0 * SPEED_OF_LIGHT * 3.0
     assert action_quantum_from_frequency(2.0, 1.0, 3.0) == 18.0
 
 
 def test_frequency_form_equals_momentum_form_on_sound_cone():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        m, a, c = rng.uniform(0.1, 10.0, size=3)
+        m, a = rng.uniform(0.1, 10.0, size=2)
         np.testing.assert_allclose(
-            action_quantum_from_frequency(m, c / a, a),
-            planck_from_lattice(PhysicalConstants(c=c), m, a), rtol=1e-14)
+            action_quantum_from_frequency(m, SPEED_OF_LIGHT / a, a),
+            planck_from_lattice(m, a), rtol=1e-14)
 
 
 def test_medium_atom_mass_frozen_value():
-    got = medium_atom_mass(CONSTANTS, 1e-25)
+    got = medium_atom_mass(1e-25)
     np.testing.assert_allclose(got, 2.2102190943e-17, rtol=1e-9)
     with pytest.raises(DiscretumError):
-        medium_atom_mass(CONSTANTS, 0.0)
+        medium_atom_mass(0.0)
 
 
 def test_planck_roundtrip_identity():
     for a in (1e-25, 1e-10, 1.0, 17.3):
-        m = medium_atom_mass(CONSTANTS, a)
-        np.testing.assert_allclose(planck_from_lattice(CONSTANTS, m, a),
-                                   CONSTANTS.h, rtol=1e-12)
+        m = medium_atom_mass(a)
+        np.testing.assert_allclose(planck_from_lattice(m, a),
+                                   PLANCK_CONSTANT, rtol=1e-12)
         np.testing.assert_allclose(
-            action_quantum_from_frequency(m, CONSTANTS.c / a, a),
-            CONSTANTS.h, rtol=1e-12)
+            action_quantum_from_frequency(m, SPEED_OF_LIGHT / a, a),
+            PLANCK_CONSTANT, rtol=1e-12)
 
 
 def test_mass_for_momentum_cutoff_spacing():
     """Cross-module chain: spacing from a momentum cutoff, then the atom mass
     that makes the medium's action quantum equal h."""
-    a_s = lattice_spacing_from_cutoff(CONSTANTS, 1e-9)
-    m = medium_atom_mass(CONSTANTS, a_s)
-    np.testing.assert_allclose(m, 1e-9 / CONSTANTS.c, rtol=1e-12)
-    np.testing.assert_allclose(planck_from_lattice(CONSTANTS, m, a_s),
-                               CONSTANTS.h, rtol=1e-12)
+    a_s = lattice_spacing_from_cutoff(1e-9)
+    m = medium_atom_mass(a_s)
+    np.testing.assert_allclose(m, 1e-9 / SPEED_OF_LIGHT, rtol=1e-12)
+    np.testing.assert_allclose(planck_from_lattice(m, a_s),
+                               PLANCK_CONSTANT, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_dim", [4.5, 4.0, True, np.float64(3.0)])
