@@ -21,8 +21,7 @@ from .errors import (DiscretumError, require_finite, require_int,
 SPEED_OF_LIGHT = 2.99792458e8     # m/s
 PLANCK_CONSTANT = 6.62607015e-34  # J s
 ELECTRON_VOLT = 1.602176634e-19   # J
-# 938.272 MeV/c^2
-PROTON_MASS = 938.272e6 * ELECTRON_VOLT / SPEED_OF_LIGHT**2
+PROTON_MASS = 938.272e6 * ELECTRON_VOLT / SPEED_OF_LIGHT**2  # 938.272 MeV/c^2
 CUTOFF_RTOL = 0.01  # compare_cutoffs' relative tolerance on the momenta
 _SQUARE_LIMIT = math.sqrt(np.finfo(float).max)
 # The dispersion command's cap on --q-samples: its table is ~40 MB of text.
@@ -174,7 +173,6 @@ class CutoffEstimate:
         a_s = lattice_spacing_from_cutoff(p_cut)
         _require_squarable(("cutoff momentum", p_cut),
                            ("m_p*c", m_p * SPEED_OF_LIGHT))
-        # Each square is finite, but their sum can still overflow.
         E_b = SPEED_OF_LIGHT * math.sqrt(p_cut**2 + (m_p * SPEED_OF_LIGHT) ** 2)
         require_finite("back-filled E_b", E_b)
         return cls(E_b=E_b, p_cut=p_cut, a_s=a_s, bz_extent=bz_extent(a_s))

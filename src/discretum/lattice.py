@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DiscretumError, require_int
 
-# A basis is degenerate when |det| <= EPS_DEGENERATE*|a_1|...|a_dim|: the cell
-# volume over the product of its edge lengths is free of the unit of length.
+# A basis is degenerate when |det| <= EPS_DEGENERATE*|a_1|...|a_dim| on rows
+# divided by their largest |entry|: free of the unit of length and of overflow.
 EPS_DEGENERATE = 1e-12
 
 # Folding searches candidate reciprocal vectors in integer shells
@@ -27,10 +27,11 @@ FOLD_SHELLS = 3
 # numbers near k exceeds 1e-9 of a zone width, so k - G has too few digits.
 FOLD_MAX_ZONES = 1e-9 / np.finfo(float).eps  # about 4.5e6
 
-# Two candidate representatives whose squared norms differ by less than
-# _TIE_EPS*(|A|^2 + |B|^2 + |C|^2 + |k|^2), A, B, C the reciprocal basis,
-# count as a tie (zone-boundary case) and the lexicographically largest wins.
-# The window scales with the cell: far above float noise, far below any gap.
+# fold_to_bz divides k and the reciprocal basis by the power of two just above
+# the basis' largest |entry| (exact, and every square stays finite); in those
+# units, images of k whose squared norms exceed the least, d^2, by at most
+# _TIE_EPS*(1 + d^2) tie (zone boundary) and the lexicographically largest
+# wins.  The window scales with the cell: far above float noise, below any gap.
 _TIE_EPS = 1e-12
 
 
@@ -60,8 +61,10 @@ class LatticeBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _as_matrix(self.vectors))
-        det = abs(np.linalg.det(self.vectors))
-        bound = EPS_DEGENERATE * np.prod(np.linalg.norm(self.vectors, axis=1))
+        top = np.abs(self.vectors).max(axis=1, keepdims=True)
+        unit = self.vectors / np.where(top > 0.0, top, 1.0)
+        det = abs(np.linalg.det(unit))
+        bound = EPS_DEGENERATE * np.prod(np.linalg.norm(unit, axis=1))
         if det <= bound:
             raise DiscretumError("degenerate basis: |det| = %.3e <= %.3e"
                                  % (det, bound))
@@ -132,7 +135,8 @@ def reciprocal_basis(basis):
     Computed as 2*pi * inverse-transpose, which in 3D coincides with the
     familiar cross-product construction A = 2*pi (b x c)/(a . (b x c)).
     """
-    return ReciprocalBasis(2.0 * np.pi * np.linalg.inv(basis.vectors).T)
+    with np.errstate(over="ignore"):  # ReciprocalBasis rejects an overflow
+        return ReciprocalBasis(2.0 * np.pi * np.linalg.inv(basis.vectors).T)
 
 
 def _combination(vectors, names, values):
@@ -207,11 +211,11 @@ def fold_to_bz(recip, k):
             "resolved to 1e-9 of a zone width" % (reach, FOLD_MAX_ZONES))
     base = np.rint(frac)
     cand = base + _shell_offsets(recip.dim)
-    reps = k - cand @ recip.vectors
+    e = np.frexp(np.abs(recip.vectors).max())[1]
+    reps = np.ldexp(k, -e) - cand @ np.ldexp(recip.vectors, -e)
     norms2 = np.einsum("ij,ij->i", reps, reps)
     nmin = norms2.min()
-    cell2 = np.einsum("ij,ij->", recip.vectors, recip.vectors)
-    eligible = np.flatnonzero(norms2 <= nmin + _TIE_EPS * (cell2 + nmin))
+    eligible = np.flatnonzero(norms2 <= nmin + _TIE_EPS * (1.0 + nmin))
     best = max(eligible, key=lambda i: tuple(reps[i]))
     g = g_vector(recip, *(int(c) for c in cand[best]))
     return FoldedVector(k - g.cartesian, g)

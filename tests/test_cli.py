@@ -119,16 +119,37 @@ def test_fold_rejects_bad_basis_entries(tmp_path, vectors, message):
 @pytest.mark.parametrize("vectors,k", [
     ([[1e8]], [1.8849555921538759e-08]),
     ([[6.6e-25, 0, 0], [0, 6.6e-25, 0], [0, 0, 6.6e-25]], [3e24, -1e24, 5e23]),
-], ids=["1e8-segment", "6.6e-25-cube"])
+    ([[1e-200]], [1.8849555921538757e+200]),
+    ([[1e200]], [1.884955592153876e-200]),
+    ([[1e-160, 0], [0, 1e-160]], [1.884955592153876e+160,
+                                  -2.8274333882308145e+160]),
+    ([[1e120, 0, 0], [0, 1e120, 0], [0, 0, 1e120]],
+     [1.8849555921538756e-120, -6.283185307179586e-121,
+      3.141592653589793e-121]),
+], ids=["1e8-segment", "6.6e-25-cube", "1e-200-segment", "1e200-segment",
+        "1e-160-square", "1e120-cube"])
 def test_fold_at_any_length_scale(tmp_path, vectors, k):
     """A k inside the first zone folds to itself whatever the unit of
     length: 0.3 of a zone of the 1e8 segment once folded 3.3 zones away,
-    and the cube of the cutoff spacing was once rejected as degenerate."""
+    and the cube of the cutoff spacing was once rejected as degenerate.
+    Cells whose squared lengths or volume overflow or underflow fold too:
+    the 1e-200 segment once folded 3 zones away, the 1e120 cube was once
+    rejected as degenerate."""
     basis = write_basis(tmp_path, len(k), vectors)
     status, out, err = run_cli("fold", "--basis", basis,
                                "--k=" + ",".join(map(repr, k)))
     assert (status, err) == (0, "")
     assert json.loads(out) == {"k_folded": k, "g_indices": [0] * len(k)}
+
+
+@pytest.mark.parametrize("edge", [1e-309, 3e-308])
+def test_fold_rejects_a_cell_whose_reciprocal_overflows(tmp_path, edge):
+    """2*pi/edge overflows: in the inverse for 1e-309, in the factor 2*pi
+    for 3e-308; either way fold exits 2 with one line and no warning."""
+    basis = write_basis(tmp_path, 1, [[edge]])
+    status, out, err = run_cli("fold", "--basis", basis, "--k=0")
+    assert (status, out) == (2, "")
+    assert err.startswith("discretum fold:") and err.count("\n") == 1
 
 
 def test_fold_degenerate_basis(tmp_path):

@@ -136,8 +136,8 @@ def test_cutoff_momentum_threshold_and_massless():
     # at the rest energy the momentum vanishes
     m = 1e-27
     assert cutoff_momentum(m * c * c, m) == 0.0
-    assert cutoff_momentum(2.5 * c**2, 2.5) == 0.0
-    # massless limit: p = E/c
+    # massless limit: p = E/c, exactly for p a power of two
+    assert cutoff_momentum(c * 0.125, 0.0) == 0.125
     np.testing.assert_allclose(
         cutoff_momentum(3.0e8, 0.0), 1.0006922855944561, rtol=1e-12)
 

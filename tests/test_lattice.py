@@ -278,6 +278,24 @@ def test_fold_is_independent_of_the_unit_of_length(dim, basis_seed, k,
                                unit.k_folded, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fold_is_independent_of_the_unit_of_length_at_float_extremes(
+        dim, exponent):
+    """Past 2**500 the squared lengths and the volume of the cell overflow
+    or underflow; folding the scaled cell still gives the same answer."""
+    rng = np.random.default_rng(dim)
+    mat = random_basis_matrix(rng, dim)
+    for k in rng.uniform(-12.0, 12.0, size=(20, dim)):
+        unit = fold_to_bz(reciprocal_basis(LatticeBasis(mat)), k)
+        scaled = fold_to_bz(
+            reciprocal_basis(LatticeBasis(np.ldexp(mat, exponent))),
+            np.ldexp(k, -exponent))
+        assert scaled.g.indices == unit.g.indices
+        assert np.array_equal(np.ldexp(scaled.k_folded, exponent),
+                              unit.k_folded)
+
+
 def test_folded_vector_is_shortest_image():
     rng = np.random.default_rng(77)
     mat = random_basis_matrix(rng, 3)
