@@ -8,6 +8,7 @@ produce byte-identical output.  Each CSV table has one row format, a
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -38,10 +39,21 @@ def emit_json(obj):
     return json.dumps(obj)
 
 
+EMIT_BLOCK_ROWS = 2**16
+
+
 def emit_csv(header, row_format, rows):
-    """The header line, then `row_format % row` for each row (a sequence)."""
-    return ",".join(header) + "\n" + "".join(
-        row_format % tuple(row) for row in rows)
+    """The header line, then `row_format % row` for each row (a sequence).
+
+    Rows are read and joined EMIT_BLOCK_ROWS at a time, so the list of row
+    strings is one block long whatever the length of the table.
+    """
+    rows = iter(rows)
+    blocks = [",".join(header) + "\n"]
+    while block := "".join([row_format % tuple(row) for row in
+                            itertools.islice(rows, EMIT_BLOCK_ROWS)]):
+        blocks.append(block)
+    return "".join(blocks)
 
 
 def _write(text, path):
@@ -95,11 +107,23 @@ def _channels(args):
 
 def _cmd_processes(args):
     _, table = _channels(args)
-    kind = np.where(table.g != 0, "umklapp", "normal")
-    rows = zip(table.n1.tolist(), table.n2.tolist(), table.n3.tolist(),
-               table.g.tolist(), table.delta_omega.tolist(), kind.tolist())
+    # Cells are read from tables of their text, block by block; a residual
+    # is formatted once per block however many rows share it.
+    ints = np.array([str(i) for i in range(-args.n, args.n + 1)], dtype=object)
+    kinds = np.array(["normal", "umklapp"], dtype=object)
+
+    def rows():
+        for start in range(0, len(table), EMIT_BLOCK_ROWS):
+            cut = slice(start, start + EMIT_BLOCK_ROWS)
+            values, inverse = np.unique(table.delta_omega[cut],
+                                        return_inverse=True)
+            text = np.array(["%.17g" % v for v in values.tolist()], dtype=object)
+            columns = [ints.take(c[cut] + args.n).tolist()
+                       for c in (table.n1, table.n2, table.n3, table.g)]
+            yield from zip(*columns, text.take(inverse).tolist(),
+                           kinds.take(table.g[cut] != 0).tolist())
     return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"),
-                    "%d,%d,%d,%d,%.17g,%s\n", rows)
+                    "%s,%s,%s,%s,%s,%s\n", rows())
 
 
 def _cmd_thermalize(args):

@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dispersion import (ModeGrid, OscillatorParams, chain_dispersion,
-                         mode_wave_number)
+from .dispersion import (MAX_Q_SAMPLES, ModeGrid, OscillatorParams,
+                         chain_dispersion, mode_wave_number)
 from .errors import (DiscretumError, StabilityWarning, require_finite,
                      require_int, require_positive)
 
@@ -38,6 +38,13 @@ _FR_KICK = (_W1, _W0, _W1)
 # The composition above is stable on the harmonic chain for
 # omega_max*dt below ~1.574 (propagator trace bound); warn from here on.
 STABILITY_LIMIT = 1.57
+
+# simulate's caps: n_sites * rows cells are the ~40 MB of text of the
+# dispersion table at MAX_Q_SAMPLES; at ~40 ns a step and ~150 us a sampled
+# row (2 vCPUs), MAX_STEPS and MAX_SIM_ROWS take about 4 s and 5 s.
+MAX_SIM_CELLS = 2 * MAX_Q_SAMPLES
+MAX_SIM_ROWS = 2**15
+MAX_STEPS = 10**8
 
 
 @dataclass
@@ -268,8 +275,11 @@ class SimConfig:
 
     def __post_init__(self):
         require_int("n_sites", self.n_sites, minimum=2)
-        require_int("steps", self.steps, minimum=0)
+        require_int("steps", self.steps, minimum=0, maximum=MAX_STEPS)
         require_int("stride", self.stride, minimum=1)
+        rows = 1 + -(-self.steps // self.stride)  # the first, one a stride
+        require_int("rows", rows, maximum=MAX_SIM_ROWS)
+        require_int("n_sites * rows", self.n_sites * rows, maximum=MAX_SIM_CELLS)
         self.params  # builds OscillatorParams: checks kappa, m, a, omega_max
         if self.dt is not None:
             require_positive("dt", self.dt)

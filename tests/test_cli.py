@@ -26,8 +26,10 @@ from discretum import (
     biased_population,
     build_qp_matrices,
     chain_dispersion,
+    cli,
     commutator_defect,
     compare_cutoffs,
+    dynamics,
     enumerate_three_phonon,
     fold_to_bz,
     ground_energy,
@@ -440,10 +442,14 @@ GOLDEN_STDOUT = [
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
                          ids=["processes", "thermalize-all",
                               "thermalize-normal"])
-def test_golden_stdout_digest(argv, digest):
-    status, out, err = run_cli(*argv)
-    assert status == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_golden_stdout_digest(argv, digest, monkeypatch):
+    """The digests hold at the default CSV block and at 4096 rows, which
+    splits the processes table, and its mirror pairs, across blocks."""
+    for block in (cli.EMIT_BLOCK_ROWS, 4096):
+        monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", block)
+        status, out, err = run_cli(*argv)
+        assert status == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------- byte reference
@@ -492,13 +498,21 @@ def assert_stdout(argv, expected):
     assert out == expected
 
 
+def assert_csv_stdout(monkeypatch, argv, expected):
+    """assert_stdout with CSV rows joined 1, 7 and the default number at a time."""
+    for block in (1, 7, cli.EMIT_BLOCK_ROWS):
+        monkeypatch.setattr(cli, "EMIT_BLOCK_ROWS", block)
+        assert_stdout(argv, expected)
+
+
 @pytest.mark.parametrize("n,tol,kappa,m,n_rows,n_umklapp", [
     (8, DEFAULT_TOL_FACTOR, 1.0, 1.0, 0, 0),
     (8, 0.2, 1.0, 1.0, 4, 0),
     (17, 2.5, 1.0, 1.0, 128, 40),
     (512, DEFAULT_TOL_FACTOR, 2.5, 0.7, 14534, 71),
 ], ids=["n8", "n8-tol", "n17-umklapp", "n512-kappa-m"])
-def test_processes_bytes_match_reference(n, tol, kappa, m, n_rows, n_umklapp):
+def test_processes_bytes_match_reference(n, tol, kappa, m, n_rows, n_umklapp,
+                                          monkeypatch):
     grid = ModeGrid(n, OscillatorParams(kappa=kappa, m=m, a=1.0))
     table = enumerate_three_phonon(grid, tol * grid.params.omega_max)
     rows = [(table.n1[i], table.n2[i], table.n3[i], table.g[i],
@@ -507,16 +521,17 @@ def test_processes_bytes_match_reference(n, tol, kappa, m, n_rows, n_umklapp):
             for i in range(len(table))]
     assert len(rows) == n_rows
     assert sum(row[5] == "umklapp" for row in rows) == n_umklapp
-    assert_stdout(("processes", "--n", str(n), "--tol", repr(tol),
-                   "--kappa", repr(kappa), "--m", repr(m)),
-                  reference_csv(("n1", "n2", "n3", "g", "delta_omega",
-                                 "kind"), rows))
+    assert_csv_stdout(monkeypatch,
+                      ("processes", "--n", str(n), "--tol", repr(tol),
+                       "--kappa", repr(kappa), "--m", repr(m)),
+                      reference_csv(("n1", "n2", "n3", "g", "delta_omega",
+                                     "kind"), rows))
 
 
 @pytest.mark.parametrize("mode,phonons", [
     ("all", 60), ("normal", 60), ("all", 0),
 ], ids=["all", "normal", "no-phonons"])
-def test_thermalize_bytes_match_reference(mode, phonons):
+def test_thermalize_bytes_match_reference(mode, phonons, monkeypatch):
     grid = ModeGrid(32, OscillatorParams(kappa=1.0, m=1.0, a=1.0))
     table = enumerate_three_phonon(grid, 0.5 * grid.params.omega_max)
     trace = kmc_run(biased_population(grid, phonons), table, 80, 4, mode)
@@ -525,10 +540,12 @@ def test_thermalize_bytes_match_reference(mode, phonons):
                  table.g[trace.event_indices[s]])
                 for s in range(trace.n_applied))
     assert len(rows) == (1 if phonons == 0 else 81)
-    assert_stdout(("thermalize", "--n", "32", "--tol", "0.5", "--events",
-                   "80", "--seed", "4", "--mode", mode, "--phonons",
-                   str(phonons)),
-                  reference_csv(("step", "drift", "energy", "event_g"), rows))
+    assert_csv_stdout(monkeypatch,
+                      ("thermalize", "--n", "32", "--tol", "0.5", "--events",
+                       "80", "--seed", "4", "--mode", mode, "--phonons",
+                       str(phonons)),
+                      reference_csv(("step", "drift", "energy", "event_g"),
+                                    rows))
 
 
 @pytest.mark.parametrize("config", [
@@ -538,26 +555,29 @@ def test_thermalize_bytes_match_reference(mode, phonons):
     {"n_sites": 1024, "steps": 4, "stride": 1,
      "init": {"type": "random", "seed": 11, "amplitude": 1.5}},
 ], ids=["plane-wave", "random-1024"])
-def test_simulate_bytes_match_reference(tmp_path, config):
+def test_simulate_bytes_match_reference(tmp_path, config, monkeypatch):
     result = run_sim(SimConfig.from_dict(config))
     n = config["n_sites"]
     rows = [[float(result.times[i]), float(result.total_energy[i])]
             + [float(e) for e in result.mode_energies[i]]
             for i in range(result.times.size)]
-    assert_stdout(("simulate", "--config", write_config(tmp_path, config)),
-                  reference_csv(["t", "E_total"]
-                                + ["E_mode_%d" % j for j in range(n)], rows))
+    assert_csv_stdout(monkeypatch,
+                      ("simulate", "--config", write_config(tmp_path, config)),
+                      reference_csv(["t", "E_total"]
+                                    + ["E_mode_%d" % j for j in range(n)],
+                                    rows))
 
 
 @pytest.mark.parametrize("samples", [0, 1, 200])
-def test_dispersion_bytes_match_reference(samples):
+def test_dispersion_bytes_match_reference(samples, monkeypatch):
     params = OscillatorParams(kappa=2.5, m=0.7, a=1.3)
     qs = np.linspace(-math.pi / params.a, math.pi / params.a, samples)
     rows = [(float(q), float(w))
             for q, w in zip(qs, chain_dispersion(params, qs))]
-    assert_stdout(("dispersion", "--q-samples", str(samples), "--kappa",
-                   "2.5", "--m", "0.7", "--a", "1.3"),
-                  reference_csv(("q", "omega"), rows))
+    assert_csv_stdout(monkeypatch,
+                      ("dispersion", "--q-samples", str(samples), "--kappa",
+                       "2.5", "--m", "0.7", "--a", "1.3"),
+                      reference_csv(("q", "omega"), rows))
 
 
 @pytest.mark.parametrize("vectors,k", [
@@ -812,6 +832,27 @@ def test_simulate_config_validation(tmp_path):
                                    write_config(tmp_path, cfg))
         assert (status, out) == (2, ""), (key, value)
         assert err.startswith("discretum simulate:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap,name,value,steps,stride", [
+    ("MAX_STEPS", "steps", 12, 12, 12),
+    ("MAX_SIM_ROWS", "rows", 12, 11, 1),
+    ("MAX_SIM_CELLS", "n_sites * rows", 48, 11, 1),
+], ids=["steps", "rows", "cells"])
+def test_simulate_size_caps(tmp_path, monkeypatch, cap, name, value, steps,
+                            stride):
+    """A 4-site config whose size is at a dynamics cap runs; at cap + 1 it
+    exits 2 before the run."""
+    cfg = write_config(tmp_path, {"n_sites": 4, "steps": steps,
+                                  "stride": stride, "init": {"type": "random"}})
+    monkeypatch.setattr(dynamics, cap, value)
+    status, out, err = run_cli("simulate", "--config", cfg)
+    assert (status, err) == (0, "") and out
+    monkeypatch.setattr(dynamics, cap, value - 1)
+    status, out, err = run_cli("simulate", "--config", cfg)
+    assert (status, out) == (2, "")
+    assert err == "discretum simulate: %s must be <= %d, got %d\n" % (
+        name, value - 1, value)
 
 
 # --------------------------------------------------------------- dispersion
