@@ -151,8 +151,9 @@ def _cmd_simulate(args):
     for message in dict.fromkeys(str(w.message) for w in caught):
         print("warning: %s" % message, file=sys.stderr)
     header = ["t", "E_total"] + ["E_mode_%d" % j for j in range(config.n_sites)]
-    rows = np.column_stack([result.times, result.total_energy,
-                            result.mode_energies]).tolist()
+    rows = ((t, e, *modes.tolist()) for t, e, modes in zip(
+        result.times.tolist(), result.total_energy.tolist(),
+        result.mode_energies))
     return emit_csv(header, ",".join(["%.17g"] * len(header)) + "\n", rows)
 
 

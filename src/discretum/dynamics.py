@@ -189,22 +189,21 @@ def total_energy(state):
 
 @dataclass(frozen=True)
 class ModeAmplitudes:
-    """Mass-weighted complex normal coordinates per mode label."""
+    """Mass-weighted normal coordinates, bins in ModeGrid.dft_labels order."""
 
-    labels: np.ndarray
     q: np.ndarray
     p: np.ndarray
     omega: np.ndarray
 
     def __post_init__(self):
-        for name in ("labels", "q", "p", "omega"):
+        for name in ("q", "p", "omega"):
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def reality_defect(self):
         """Max deviation from q(-k) = q(k)* and p(-k) = p(k)*."""
-        conj_bin = -self.labels % self.labels.size
+        conj_bin = -np.arange(self.q.size) % self.q.size
         return float(max(np.max(np.abs(self.q[conj_bin] - np.conj(self.q))),
                          np.max(np.abs(self.p[conj_bin] - np.conj(self.p)))))
 
@@ -219,7 +218,7 @@ def to_modes(state):
     grid = ModeGrid(state.n_sites, state.params)
     q, p = math.sqrt(state.params.m) * np.fft.fft(
         np.stack((state.u, state.v)), norm="ortho")
-    return ModeAmplitudes(grid.dft_labels, q, p, grid.omega(grid.dft_labels))
+    return ModeAmplitudes(q, p, grid.omega(grid.dft_labels))
 
 
 def mode_energies(amps):

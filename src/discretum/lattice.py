@@ -35,32 +35,40 @@ FOLD_MAX_ZONES = 1e-9 / np.finfo(float).eps  # about 4.5e6
 _TIE_EPS = 1e-12
 
 
-def _as_matrix(vectors):
-    try:
-        mat = np.array(vectors, dtype=float)
-    except (TypeError, ValueError):
-        raise DiscretumError(
-            "basis vectors must be equal-length rows of numbers") from None
-    if not np.isfinite(mat).all():
-        raise DiscretumError("basis vectors must be finite")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DiscretumError(
-            "basis must be a square matrix of row vectors, got shape %s"
-            % (mat.shape,))
-    if mat.shape[0] not in (1, 2, 3):
-        raise DiscretumError("dim must be 1, 2 or 3, got %d" % mat.shape[0])
-    mat.setflags(write=False)
-    return mat
-
-
 @dataclass(frozen=True)
-class LatticeBasis:
-    """Direct-lattice basis; rows of `vectors` are the basis vectors."""
+class _Basis:
+    """Basis whose rows `vectors` form a finite (dim, dim) matrix, dim <= 3."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _as_matrix(self.vectors))
+        try:
+            mat = np.array(self.vectors, dtype=float)
+        except (TypeError, ValueError):
+            raise DiscretumError(
+                "basis vectors must be equal-length rows of numbers") from None
+        if not np.isfinite(mat).all():
+            raise DiscretumError("basis vectors must be finite")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DiscretumError(
+                "basis must be a square matrix of row vectors, got shape %s"
+                % (mat.shape,))
+        if mat.shape[0] not in (1, 2, 3):
+            raise DiscretumError("dim must be 1, 2 or 3, got %d" % mat.shape[0])
+        mat.setflags(write=False)
+        object.__setattr__(self, "vectors", mat)
+
+    @property
+    def dim(self):
+        return self.vectors.shape[0]
+
+
+@dataclass(frozen=True)
+class LatticeBasis(_Basis):
+    """Direct-lattice basis; rows of `vectors` are the basis vectors."""
+
+    def __post_init__(self):
+        super().__post_init__()
         top = np.abs(self.vectors).max(axis=1, keepdims=True)
         unit = self.vectors / np.where(top > 0.0, top, 1.0)
         det = abs(np.linalg.det(unit))
@@ -69,10 +77,6 @@ class LatticeBasis:
             raise DiscretumError("degenerate basis: |det| = %.3e <= %.3e"
                                  % (det, bound))
 
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
-
     @classmethod
     def cubic(cls, a0, dim=3):
         """Simple cubic (square / segment) basis with spacing a0."""
@@ -80,17 +84,8 @@ class LatticeBasis:
 
 
 @dataclass(frozen=True)
-class ReciprocalBasis:
+class ReciprocalBasis(_Basis):
     """Reciprocal basis; rows of `vectors` are A, B, C."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", _as_matrix(self.vectors))
-
-    @property
-    def dim(self):
-        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,10 @@ def fold_to_bz(recip, k):
             "k has shape %s, expected (%d,)" % (k.shape, recip.dim))
     if not np.isfinite(k).all():
         raise DiscretumError("k must be finite, got %s" % (k.tolist(),))
-    frac = np.linalg.solve(recip.vectors.T, k)
+    try:
+        frac = np.linalg.solve(recip.vectors.T, k)
+    except np.linalg.LinAlgError:
+        raise DiscretumError("reciprocal basis is singular") from None
     reach = np.abs(frac).max()
     if reach > FOLD_MAX_ZONES:
         raise DiscretumError(
@@ -217,5 +215,5 @@ def fold_to_bz(recip, k):
     nmin = norms2.min()
     eligible = np.flatnonzero(norms2 <= nmin + _TIE_EPS * (1.0 + nmin))
     best = max(eligible, key=lambda i: tuple(reps[i]))
-    g = g_vector(recip, *(int(c) for c in cand[best]))
+    g = GVector(tuple(int(c) for c in cand[best]), cand[best] @ recip.vectors)
     return FoldedVector(k - g.cartesian, g)

@@ -20,21 +20,18 @@ from .errors import DiscretumError, require_int, require_positive
 
 
 def _collect(pairs):
-    """Sum (word, {omega_power: coeff}) pairs into canonical terms."""
+    """Sum ((word, omega_power), coeff) pairs into canonical terms."""
     out = {}
-    for word, poly in pairs:
-        tgt = out.setdefault(tuple(word), {})
-        for k, v in poly.items():
-            tgt[k] = tgt.get(k, 0) + v
-    return {w: kept for w, p in out.items()
-            if (kept := {k: v for k, v in p.items() if v != 0})}
+    for (word, k), v in pairs:
+        out[tuple(word), k] = out.get((tuple(word), k), 0) + v
+    return {key: v for key, v in out.items() if v != 0}
 
 
 class NcExpression:
     """Linear combination of ordered words in non-commuting symbols.
 
     Coefficients are Laurent polynomials in omega with Fraction
-    coefficients, stored as {word: {omega_power: Fraction}}.  Equality is
+    coefficients, stored as {(word, omega_power): Fraction}.  Equality is
     structural on the canonical form (zero terms pruned).
     """
 
@@ -45,7 +42,7 @@ class NcExpression:
 
     @classmethod
     def symbol(cls, name):
-        return cls({(name,): {0: Fraction(1)}})
+        return cls({((name,), 0): Fraction(1)})
 
     @property
     def is_zero(self):
@@ -53,7 +50,7 @@ class NcExpression:
 
     def scaled(self, coeff, omega_power=0):
         """Multiply by coeff * omega**omega_power."""
-        return self * NcExpression({(): {omega_power: Fraction(coeff)}})
+        return self * NcExpression({((), omega_power): Fraction(coeff)})
 
     def __add__(self, other):
         return NcExpression(_collect([*self.terms.items(),
@@ -64,15 +61,15 @@ class NcExpression:
 
     def __mul__(self, other):
         return NcExpression(_collect(
-            (w1 + w2, {k1 + k2: v1 * v2})
-            for w1, p1 in self.terms.items() for w2, p2 in other.terms.items()
-            for k1, v1 in p1.items() for k2, v2 in p2.items()))
+            ((w1 + w2, k1 + k2), v1 * v2)
+            for (w1, k1), v1 in self.terms.items()
+            for (w2, k2), v2 in other.terms.items()))
 
     def substitute(self, mapping):
         """Replace symbols by expressions (identity for unlisted symbols)."""
         result = NcExpression()
-        for word, poly in self.terms.items():
-            prod = NcExpression({(): dict(poly)})
+        for (word, k), v in self.terms.items():
+            prod = NcExpression({((), k): v})
             for sym in word:
                 prod = prod * mapping.get(sym, NcExpression.symbol(sym))
             result = result + prod
@@ -80,28 +77,26 @@ class NcExpression:
 
     def commutative_image(self):
         """Forget ordering: sort each word's symbols and re-collect."""
-        return NcExpression(_collect((sorted(word), poly)
-                                     for word, poly in self.terms.items()))
+        return NcExpression(_collect(((sorted(word), k), v)
+                                     for (word, k), v in self.terms.items()))
 
     def __eq__(self, other):
         return isinstance(other, NcExpression) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(
-            (w, frozenset(p.items())) for w, p in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return " + ".join(
-            "(%s)%s*%s" % (poly[k], {0: "", 1: "*w"}.get(k, "*w^%d" % k),
+            "(%s)%s*%s" % (v, {0: "", 1: "*w"}.get(k, "*w^%d" % k),
                            "".join(word) or "1")
-            for word, poly in sorted(self.terms.items()) for k in sorted(poly)
-        ) or "0"
+            for (word, k), v in sorted(self.terms.items())) or "0"
 
 
 def mode_hamiltonian():
     """The per-mode energy form (1/2)*(p p* + w^2 q q*) over free symbols."""
-    return NcExpression({("p", "p*"): {0: Fraction(1, 2)},
-                         ("q", "q*"): {2: Fraction(1, 2)}})
+    return NcExpression({(("p", "p*"), 0): Fraction(1, 2),
+                         (("q", "q*"), 2): Fraction(1, 2)})
 
 
 def reduce_mode_hamiltonian():
@@ -123,26 +118,24 @@ MAX_DIMENSION = 4096  # bounds the dense N/2 x N/2 ground-energy blocks
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Hermitian band matrix tagged with its operator role: `bands[k]` is
-    superdiagonal k (N - k entries; k = 0 the real diagonal), subdiagonal k
-    its conjugate.  Position and momentum hold band 1 only (tridiagonal with
-    a zero diagonal); the Hamiltonian holds bands 0 and 2."""
+    """Hermitian band matrix: `bands[k]` is superdiagonal k (N - k entries;
+    k = 0 the real diagonal), subdiagonal k its conjugate.  Position and
+    momentum hold band 1 only (tridiagonal with a zero diagonal); the
+    Hamiltonian holds bands 0 and 2."""
 
     bands: dict
-    role: str
 
     def __post_init__(self):
-        offsets = {"position": [1], "momentum": [1], "hamiltonian": [0, 2]}
-        if sorted(self.bands) != offsets.get(self.role):
-            raise DiscretumError("operator roles and bands are %s, got %r with %s"
-                                 % (offsets, self.role, sorted(self.bands)))
+        if sorted(self.bands) not in ([1], [0, 2]):
+            raise DiscretumError("operator bands must be [1] or [0, 2], got %s"
+                                 % sorted(self.bands))
         bands = {k: np.array(band) for k, band in self.bands.items()}
         object.__setattr__(self, "bands", bands)
         n = self.dimension
         if (any(band.shape != (n - k,) for k, band in bands.items())
                 or np.any(np.imag(bands.get(0, 0.0)) != 0)):
-            raise DiscretumError("%s matrix is not Hermitian N x N: band k "
-                                 "needs N - k entries, band 0 real" % self.role)
+            raise DiscretumError("matrix is not Hermitian N x N: band k "
+                                 "needs N - k entries, band 0 real")
         for band in bands.values():
             band.setflags(write=False)
 
@@ -172,11 +165,14 @@ def build_qp_matrices(n_dim, m, omega, hbar=1.0):
         if value < sys.float_info.min:  # subnormal: its sqrt loses digits
             raise DiscretumError("%s is subnormal, got %r" % (name, value))
     ladder = np.sqrt(np.arange(1.0, n_dim))
-    return (OperatorMatrix({1: math.sqrt(q2) * ladder}, "position"),
-            OperatorMatrix({1: -1j * (math.sqrt(p2) * ladder)}, "momentum"))
+    return (OperatorMatrix({1: math.sqrt(q2) * ladder}),
+            OperatorMatrix({1: -1j * (math.sqrt(p2) * ladder)}))
 
 
 def _band_pair(q, p):
+    if sorted(q.bands) != [1] or sorted(p.bands) != [1]:
+        raise DiscretumError("q and p must hold band 1 only, got bands %s and %s"
+                             % (sorted(q.bands), sorted(p.bands)))
     if q.dimension != p.dimension:
         raise DiscretumError("dimension mismatch: %d vs %d"
                              % (q.dimension, p.dimension))
@@ -220,7 +216,7 @@ def oscillator_hamiltonian(q, p, m, omega):
     if not all(np.isfinite(band).all() for band in bands.values()):
         raise DiscretumError("oscillator Hamiltonian overflows for N=%d, "
                              "m=%r, omega=%r" % (q.dimension, m, omega))
-    return OperatorMatrix(bands, "hamiltonian")
+    return OperatorMatrix(bands)
 
 
 def _levels(h, n):

@@ -39,6 +39,10 @@ MAX_SITES = 2048
 # enumerate_three_phonon computes the residuals of whole n1 rows in blocks of
 # about this many floats (128 kB), so its scratch memory does not grow as N^2.
 ENUM_BLOCK_FLOATS = 1 << 14
+# kmc_run's caps, each about 5 s and 200 MB (2 vCPUs): an event takes ~9 us
+# and ~300 bytes on the gas shape, a set rebuild ~2 ns per event * channel.
+MAX_EVENTS = 2**19
+MAX_EVENT_CHANNELS = 2**31
 # kmc_run reads its random words in blocks of at most this many PCG64 outputs.
 WORD_BLOCK = 4096
 INT64_MAX = int(np.iinfo(np.int64).max)  # drifts and counts are int64
@@ -166,9 +170,8 @@ def enumerate_three_phonon(grid, tol_omega):
         residual = np.abs((omega[n1_rows] + omega[start:])
                           - window[start:start + step, start:])
         i, j = ((residual <= tol_omega) & (n2_rows >= n1_rows)).nonzero()
-        blocks.append((start + i, start + j, residual[i, j]))
-    i, j, residual = (np.concatenate(c) for c in zip(*blocks))
-    n1, n2 = labels[i], labels[j]
+        blocks.append((labels[start + i], labels[start + j], residual[i, j]))
+    n1, n2, residual = (np.concatenate(c) for c in zip(*blocks))
     n3 = grid.wrap(n1 + n2)
     return ChannelTable(n1, n2, n3, (n1 + n2 - n3) // grid.n_sites, residual)
 
@@ -252,7 +255,7 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     """
     if mode not in KMC_MODES:
         raise DiscretumError("mode must be 'all' or 'normal', got %r" % mode)
-    require_int("n_events", n_events, minimum=0)
+    require_int("n_events", n_events, minimum=0, maximum=MAX_EVENTS)
     require_int("seed", seed, minimum=0)
     grid = initial.grid
     n_sites = grid.n_sites
@@ -269,6 +272,8 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
         raise DiscretumError("event set is empty for mode %r" % mode)
     i1, i2, i3 = rows
     n_ev = i1.size
+    require_int("n_events * channels", n_events * n_ev,
+                maximum=MAX_EVENT_CHANNELS)
     om = grid.omega(grid.labels)
     d_omega = om.take(i3) - om.take(i1) - om.take(i2)
     drift0, energy0 = initial.drift, initial.total_energy

@@ -109,7 +109,11 @@ def test_fold_rejects_k_beyond_the_zone_bound(tmp_path, k):
     ('[["a"]]', "basis vectors must be equal-length rows of numbers"),
     ("[[NaN]]", "basis vectors must be finite"),
     ("[[Infinity]]", "basis vectors must be finite"),
-], ids=["ragged", "string", "nan", "inf"])
+    ("[[1, 0]]", "basis must be a square matrix of row vectors, got shape "
+                 "(1, 2)"),
+    ("[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+     "dim must be 1, 2 or 3, got 4"),
+], ids=["ragged", "string", "nan", "inf", "not-square", "dim-4"])
 def test_fold_rejects_bad_basis_entries(tmp_path, vectors, message):
     path = tmp_path / "basis.json"
     path.write_text('{"dim": 1, "vectors": %s}' % vectors)
@@ -178,6 +182,13 @@ def test_fold_basis_file_validation(tmp_path):
     status, _, err = run_cli("fold", "--basis", str(tmp_path / "nope.json"),
                              "--k", "1.0")
     assert status == 2 and "nope.json" in err
+
+    for text, message in (("[1]", "top level must be an object"), (
+            '{"dim": 2, "vectors": [[1.0]]}', "'vectors' must be 2 row vectors")):
+        path.write_text(text)
+        status, out, err = run_cli("fold", "--basis", str(path), "--k", "1.0")
+        assert (status, out) == (2, "")
+        assert err == "discretum fold: %s: %s\n" % (path, message)
 
 
 # ----------------------------------------------------------- usage errors
@@ -392,10 +403,11 @@ def test_non_finite_chain_parameter_exits_2(argv, name, value):
     (("thermalize", "--n", "8", "--phonons", "18446744073709551616"),
      "phonon count must be <= 9223372036854775807, "
      "got 18446744073709551616"),
-    (("thermalize", "--n", "8", "--tol", "1", "--phonons", "10", "--events",
-      "1152921504606846976"),
+    # 4k phonons on labels 1..4 drift by 10k, 7 below the int64 maximum.
+    (("thermalize", "--n", "8", "--tol", "1", "--phonons",
+      "3689348814741910320", "--events", "1"),
      "|drift| + events*N must be <= 9223372036854775807, "
-     "got 9223372036854775831"),
+     "got 9223372036854775808"),
 ], ids=["dispersion-omega-inf", "processes-omega-inf", "processes-omega-0",
         "commutator-hbar", "commutator-m", "commutator-m-omega",
         "commutator-omega", "commutator-q-scale", "commutator-p-scale",
@@ -708,14 +720,15 @@ def test_thermalize_early_stop_warns_on_stderr():
 
 
 def test_thermalize_huge_budget_stops_before_its_first_event():
-    """Nothing is allocated per budgeted event: a run of 10^9 events that
-    cannot start exits 0 at once with the early-stop warning."""
+    """Nothing is allocated per budgeted event: a run at the events cap
+    that cannot start exits 0 at once with the early-stop warning."""
     status, out, err = run_cli("thermalize", "--n", "8", "--tol", "1",
-                               "--phonons", "0", "--events", "1000000000")
+                               "--phonons", "0", "--events",
+                               str(scattering.MAX_EVENTS))
     assert status == 0
     assert out == "step,drift,energy,event_g\n0,0,0,\n"
-    assert err == ("warning: KMC stopped after 0 of 1000000000 events: "
-                   "no_applicable_event\n")
+    assert err == ("warning: KMC stopped after 0 of %d events: "
+                   "no_applicable_event\n" % scattering.MAX_EVENTS)
 
 
 def test_thermalize_byte_determinism():
@@ -852,6 +865,26 @@ def test_simulate_size_caps(tmp_path, monkeypatch, cap, name, value, steps,
     status, out, err = run_cli("simulate", "--config", cfg)
     assert (status, out) == (2, "")
     assert err == "discretum simulate: %s must be <= %d, got %d\n" % (
+        name, value - 1, value)
+
+
+@pytest.mark.parametrize("cap,name,mode,value", [
+    ("MAX_EVENTS", "n_events", "all", 12),
+    ("MAX_EVENT_CHANNELS", "n_events * channels", "all", 12 * 18),
+    ("MAX_EVENT_CHANNELS", "n_events * channels", "normal", 12 * 12),
+], ids=["events", "event-channels", "event-channels-normal"])
+def test_thermalize_size_caps(monkeypatch, cap, name, mode, value):
+    """12 events over the 18 channels (12 normal) of an 8-site grid run when
+    the budget is at a scattering cap; at cap + 1 they exit 2 before the run."""
+    argv = ("thermalize", "--n", "8", "--tol", "1", "--phonons", "10",
+            "--events", "12", "--mode", mode)
+    monkeypatch.setattr(scattering, cap, value)
+    status, out, err = run_cli(*argv)
+    assert (status, err) == (0, "") and out.count("\n") == 14
+    monkeypatch.setattr(scattering, cap, value - 1)
+    status, out, err = run_cli(*argv)
+    assert (status, out) == (2, "")
+    assert err == "discretum thermalize: %s must be <= %d, got %d\n" % (
         name, value - 1, value)
 
 

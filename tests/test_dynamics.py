@@ -308,8 +308,7 @@ def test_reality_defect():
     s = random_state(10, UNIT, seed=5)
     amps = to_modes(s)
     assert amps.reality_defect() < 1e-12
-    broken = ModeAmplitudes(labels=amps.labels,
-                            q=amps.q + 1j * np.eye(10)[1],
+    broken = ModeAmplitudes(q=amps.q + 1j * np.eye(10)[1],
                             p=amps.p, omega=amps.omega)
     assert broken.reality_defect() > 0.5
 
@@ -458,7 +457,7 @@ def test_step_matches_index_array_neighbours_bitwise():
 
 def test_mode_amplitudes_copy_the_caller_arrays():
     q = np.ones(4, dtype=complex)
-    amps = ModeAmplitudes(labels=np.arange(4), q=q, p=q, omega=np.ones(4))
+    amps = ModeAmplitudes(q=q, p=q, omega=np.ones(4))
     assert q.flags.writeable and not amps.q.flags.writeable
     q[0] = 5.0
     assert amps.q[0] == amps.p[0] == 1.0

@@ -12,6 +12,7 @@ from discretum import (
     FoldedVector,
     GVector,
     LatticeBasis,
+    ReciprocalBasis,
     fold_to_bz,
     g_vector,
     lattice_phase,
@@ -366,6 +367,15 @@ def test_fold_rejects_k_beyond_the_zone_bound():
     for zones in ([5.0e6, 0.0], [0.0, -5.0e6], [1e300, 1.0]):
         with pytest.raises(DiscretumError, match="^k is .* zones from the"):
             fold_to_bz(recip, np.array(zones) @ recip.vectors)
+
+
+def test_fold_rejects_a_singular_reciprocal_basis():
+    """A ReciprocalBasis built directly is not checked for degeneracy; the
+    fold cannot take fractional coordinates on it and says so."""
+    recip = ReciprocalBasis([[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(DiscretumError) as info:
+        fold_to_bz(recip, np.array([0.3, 0.1]))
+    assert str(info.value) == "reciprocal basis is singular"
 
 
 def test_fold_rejects_direct_basis():

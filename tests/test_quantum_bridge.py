@@ -48,14 +48,14 @@ def test_expression_multiplication_is_ordered():
     assert (pq - qp).commutative_image().is_zero
     # word concatenation
     assert (P * Q) * P == P * (Q * P)
-    assert pq.terms == {("p", "q"): {0: Fraction(1)}}
+    assert pq.terms == {(("p", "q"), 0): Fraction(1)}
 
 
 def test_expression_omega_powers():
     e = P.scaled(1, 2).scaled(1, -2)
     assert e == P
     f = Q.scaled(Fraction(3, 2), 1)
-    assert f.terms == {("q",): {1: Fraction(3, 2)}}
+    assert f.terms == {(("q",), 1): Fraction(3, 2)}
     # different powers do not collapse
     assert Q.scaled(1, 1) != Q.scaled(1, 2)
 
@@ -68,8 +68,8 @@ def test_expression_hash_and_set_membership():
 def test_mode_hamiltonian_structure():
     h = mode_hamiltonian()
     assert h.terms == {
-        ("p", "p*"): {0: Fraction(1, 2)},
-        ("q", "q*"): {2: Fraction(1, 2)},
+        (("p", "p*"), 0): Fraction(1, 2),
+        (("q", "q*"), 2): Fraction(1, 2),
     }
     assert not h.commutative_image().is_zero
 
@@ -79,8 +79,8 @@ def test_substitute_identity_and_plain_square():
     assert h.substitute({}) == h
     plain = h.substitute({"p*": P, "q*": Q})
     assert plain.terms == {
-        ("p", "p"): {0: Fraction(1, 2)},
-        ("q", "q"): {2: Fraction(1, 2)},
+        (("p", "p"), 0): Fraction(1, 2),
+        (("q", "q"), 2): Fraction(1, 2),
     }
 
 
@@ -103,26 +103,24 @@ def test_reduction_repr_is_stable():
 def test_operator_matrix_validation():
     # a complex diagonal is the one way a band matrix can fail Hermiticity
     with pytest.raises(DiscretumError, match="not Hermitian"):
-        OperatorMatrix({0: [0.0, 1j], 2: []}, "hamiltonian")
+        OperatorMatrix({0: [0.0, 1j], 2: []})
     # position and momentum are tridiagonal with a zero diagonal
     with pytest.raises(DiscretumError):
-        OperatorMatrix({0: [1.0, 0.0], 1: [1.0]}, "position")
-    with pytest.raises(DiscretumError):
-        OperatorMatrix({1: [1.0]}, "banana")
+        OperatorMatrix({0: [1.0, 0.0], 1: [1.0]})
     # bands of one square matrix: band k has N - k entries
     with pytest.raises(DiscretumError):
-        OperatorMatrix({0: np.ones(2), 2: np.ones(2)}, "hamiltonian")
+        OperatorMatrix({0: np.ones(2), 2: np.ones(2)})
     with pytest.raises(DiscretumError):
-        OperatorMatrix({1: np.ones((2, 3))}, "position")
-    # the hamiltonian role holds a real diagonal and band 2
-    h = OperatorMatrix({0: [1.0, 2.0, 3.0], 2: [0.5]}, "hamiltonian")
+        OperatorMatrix({1: np.ones((2, 3))})
+    # a Hamiltonian holds a real diagonal and band 2
+    h = OperatorMatrix({0: [1.0, 2.0, 3.0], 2: [0.5]})
     assert h.dimension == 3
     np.testing.assert_array_equal(
         dense_band_matrix(h),
         [[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]])
     # the stored bands are read-only copies
     band = np.ones(3)
-    q = OperatorMatrix({1: band}, "position")
+    q = OperatorMatrix({1: band})
     band[0] = 7.0
     assert q.bands[1][0] == 1.0 and not q.bands[1].flags.writeable
 
@@ -233,6 +231,17 @@ def test_commutator_dimension_mismatch():
         commutator_defect(q, p)
 
 
+def test_commutator_and_ground_energy_need_position_and_momentum():
+    q, p = build_qp_matrices(6, 1.0, 1.0)
+    h = oscillator_hamiltonian(q, p, 1.0, 1.0)
+    for call in (lambda: commutator_defect(h, p),
+                 lambda: ground_energy(h, p, 1.0, 1.0)):
+        with pytest.raises(DiscretumError) as info:
+            call()
+        assert str(info.value) == ("q and p must hold band 1 only, "
+                                   "got bands [0, 2] and [1]")
+
+
 def test_real_form_defect_documents_failure():
     """The imaginary-unit-free convention pq - qp = h fails: the matrices
     give -i*hbar on the diagonal, h*sqrt(2) away from h for hbar = h."""
@@ -251,7 +260,7 @@ def test_real_form_defect_documents_failure():
 def test_hamiltonian_is_diagonal_with_corner_anomaly():
     q, p = build_qp_matrices(6, 1.0, 1.0)
     h = oscillator_hamiltonian(q, p, 1.0, 1.0)
-    assert h.role == "hamiltonian"
+    assert sorted(h.bands) == [0, 2]
     mat = dense_band_matrix(h)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-13

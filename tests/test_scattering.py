@@ -424,16 +424,19 @@ def test_kmc_argument_validation():
 
 def test_kmc_rejects_a_budget_that_can_overflow_the_drift():
     """Each event moves the drift by at most N, so |drift| + events*N must
-    fit int64; a budget at that bound is accepted."""
+    fit int64; a budget at that bound is accepted.  The drift sits 803
+    below the int64 maximum, on a label no channel touches."""
     g = ModeGrid(8, UNIT)
     table = enumerate_three_phonon(g, 0.2 * g.params.omega_max)
-    limit = (2**63 - 1) // 8
-    trace = kmc_run(biased_population(g, 0), table, limit, seed=0)
+    pop = PhononPopulation.from_counts(g, {4: (2**63 - 1) // 4 - 200})
+    limit = (2**63 - 1 - pop.drift) // 8
+    assert limit == 100
+    trace = kmc_run(pop, table, limit, seed=0)
     assert trace.status == "no_applicable_event"
     with pytest.raises(DiscretumError) as info:
-        kmc_run(biased_population(g, 0), table, limit + 1, seed=0)
+        kmc_run(pop, table, limit + 1, seed=0)
     assert str(info.value) == ("|drift| + events*N must be <= %d, got %d"
-                               % (2**63 - 1, 8 * (limit + 1)))
+                               % (2**63 - 1, pop.drift + 8 * (limit + 1)))
 
 
 def test_kmc_no_applicable_event_terminates():
