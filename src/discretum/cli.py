@@ -2,8 +2,10 @@
 
 Every run is deterministic: one seed drives all randomness, dict/field
 order is fixed, and floats are written as %.17g, so identical configs
-produce byte-identical output.  Each CSV table has one row format, a
-%-string given by the handler that knows its column types.
+produce byte-identical output.  `processes` builds its rows by gathering
+the text of each cell, made once per call or block; each other CSV table
+has one row format, a %-string given by the handler that knows its column
+types.
 """
 
 import argparse
@@ -42,18 +44,22 @@ def emit_json(obj):
 EMIT_BLOCK_ROWS = 2**16
 
 
-def emit_csv(header, row_format, rows):
-    """The header line, then `row_format % row` for each row (a sequence).
+def emit_csv(header, blocks):
+    """The header line, then each text block of `blocks` (an iterable of
+    strings, each a whole number of rows), joined into one string."""
+    return "".join(itertools.chain([",".join(header) + "\n"], blocks))
+
+
+def _formatted(row_format, rows):
+    """Text blocks of `row_format % row` for each row (a sequence).
 
     Rows are read and joined EMIT_BLOCK_ROWS at a time, so the list of row
     strings is one block long whatever the length of the table.
     """
     rows = iter(rows)
-    blocks = [",".join(header) + "\n"]
     while block := "".join([row_format % tuple(row) for row in
                             itertools.islice(rows, EMIT_BLOCK_ROWS)]):
-        blocks.append(block)
-    return "".join(blocks)
+        yield block
 
 
 def _write(text, path):
@@ -106,24 +112,30 @@ def _channels(args):
 
 
 def _cmd_processes(args):
-    _, table = _channels(args)
-    # Cells are read from tables of their text, block by block; a residual
-    # is formatted once per block however many rows share it.
-    ints = np.array([str(i) for i in range(-args.n, args.n + 1)], dtype=object)
-    kinds = np.array(["normal", "umklapp"], dtype=object)
+    grid, table = _channels(args)
+    # A row is gathered from the text of its cells: "n1," and "n2," from the
+    # label text, "n3,g," from the text of the label sum n1 + n2, the residual
+    # from the text of the block's distinct residuals, then ",kind\n".
+    n = args.n
+    sums = np.arange(-n, n + 1)
+    wrapped = grid.wrap(sums)
+    label = np.array(["%d," % i for i in sums.tolist()], dtype=object)
+    merged = label.take(wrapped + n) + label.take((sums - wrapped) // n + n)
+    kinds = np.array([",normal\n", ",umklapp\n"], dtype=object)
 
-    def rows():
+    def blocks():
         for start in range(0, len(table), EMIT_BLOCK_ROWS):
             cut = slice(start, start + EMIT_BLOCK_ROWS)
             values, inverse = np.unique(table.delta_omega[cut],
                                         return_inverse=True)
-            text = np.array(["%.17g" % v for v in values.tolist()], dtype=object)
-            columns = [ints.take(c[cut] + args.n).tolist()
-                       for c in (table.n1, table.n2, table.n3, table.g)]
-            yield from zip(*columns, text.take(inverse).tolist(),
-                           kinds.take(table.g[cut] != 0).tolist())
-    return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"),
-                    "%s,%s,%s,%s,%s,%s\n", rows())
+            residual = np.array(["%.17g" % v for v in values.tolist()],
+                                dtype=object)
+            i1, i2 = table.n1[cut] + n, table.n2[cut] + n
+            cells = np.column_stack((
+                label.take(i1), label.take(i2), merged.take(i1 + i2 - n),
+                residual.take(inverse), kinds.take(table.g[cut] != 0)))
+            yield "".join(cells.ravel().tolist())
+    return emit_csv(("n1", "n2", "n3", "g", "delta_omega", "kind"), blocks())
 
 
 def _cmd_thermalize(args):
@@ -140,7 +152,7 @@ def _cmd_thermalize(args):
                     table.g[trace.event_indices].tolist()))
     # %s writes the initial row's empty event_g and an int as %d would.
     return emit_csv(("step", "drift", "energy", "event_g"),
-                    "%d,%d,%.17g,%s\n", rows)
+                    _formatted("%d,%d,%.17g,%s\n", rows))
 
 
 def _cmd_simulate(args):
@@ -154,7 +166,8 @@ def _cmd_simulate(args):
     rows = ((t, e, *modes.tolist()) for t, e, modes in zip(
         result.times.tolist(), result.total_energy.tolist(),
         result.mode_energies))
-    return emit_csv(header, ",".join(["%.17g"] * len(header)) + "\n", rows)
+    return emit_csv(header, _formatted(
+        ",".join(["%.17g"] * len(header)) + "\n", rows))
 
 
 def _cmd_dispersion(args):
@@ -163,8 +176,8 @@ def _cmd_dispersion(args):
     edge = math.pi / args.a
     require_finite("zone edge pi/a", edge)
     qs = np.linspace(-edge, edge, args.q_samples)
-    return emit_csv(("q", "omega"), "%.17g,%.17g\n", zip(
-        qs.tolist(), chain_dispersion(params, qs).tolist()))
+    return emit_csv(("q", "omega"), _formatted("%.17g,%.17g\n", zip(
+        qs.tolist(), chain_dispersion(params, qs).tolist())))
 
 
 def _cmd_cutoff(args):

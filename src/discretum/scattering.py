@@ -264,6 +264,9 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     if rows.size and (rows.min() < 0 or rows.max() >= n_sites or (
             table.n1 + table.n2 - table.n3 != table.g * n_sites).any()):
         raise DiscretumError("table is not on the %d-site grid" % n_sites)
+    # The modes are stored and sorted in the smallest unsigned dtype: no
+    # int64 copy is kept for the run, and the stable sort is a radix sort.
+    rows = rows.astype(np.min_scalar_type(n_sites - 1))
     gs, keep = table.g, None  # keep: the rows used, when not all of them
     if mode == "normal" and gs.any():
         keep = np.flatnonzero(gs == 0)
@@ -286,22 +289,20 @@ def kmc_run(initial, table, n_events, seed, mode="all"):
     # phonon: entries first[m]:first[m + 1] list those pairs `readers` that
     # read mode m, with their other input mode `other` (m itself for a
     # split).  A merge with n1 == n2 == m fires when m holds two: entries
-    # twin_first[m]:twin_first[m + 1] of `twins` list them.  The modes that
-    # are sorted and stored are of the smallest unsigned dtype, which makes
-    # the stable sort a radix sort; pair ids stay intp, since numpy would
-    # convert any other index dtype at each flag assignment.
+    # twin_first[m]:twin_first[m + 1] of `twins` list them.  Pair ids stay
+    # intp, since numpy would convert any other index dtype at each flag
+    # assignment.
     twin = i1 == i2
     merge = np.flatnonzero(~twin)
-    s1, s2, s3 = rows.astype(np.min_scalar_type(n_sites - 1))
-    reads = np.concatenate([s1.take(merge), s2.take(merge), s3])
+    reads = np.concatenate([i1.take(merge), i2.take(merge), i3])
     order = np.argsort(reads, kind="stable")
-    other = np.concatenate([s2.take(merge), s1.take(merge), s3]).take(order)
+    other = np.concatenate([i2.take(merge), i1.take(merge), i3]).take(order)
     readers = np.concatenate([merge, merge, np.arange(n_ev, 2 * n_ev)]).take(
         order)
     first = memoryview(np.concatenate(
         [[0], np.bincount(reads, minlength=n_sites).cumsum()]))
     same = np.flatnonzero(twin)
-    twin_modes = s1.take(same)
+    twin_modes = i1.take(same)
     twins = memoryview(same.take(np.argsort(twin_modes, kind="stable")))
     twin_first = memoryview(np.concatenate(
         [[0], np.bincount(twin_modes, minlength=n_sites).cumsum()]))

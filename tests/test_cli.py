@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
 from discretum import (
@@ -517,6 +519,18 @@ def assert_csv_stdout(monkeypatch, argv, expected):
         assert_stdout(argv, expected)
 
 
+PROCESSES_HEADER = ("n1", "n2", "n3", "g", "delta_omega", "kind")
+
+
+def processes_reference_rows(n, tol, kappa, m, a):
+    grid = ModeGrid(n, OscillatorParams(kappa=kappa, m=m, a=a))
+    table = enumerate_three_phonon(grid, tol * grid.params.omega_max)
+    return [(table.n1[i], table.n2[i], table.n3[i], table.g[i],
+             float(table.delta_omega[i]),
+             "umklapp" if table.g[i] != 0 else "normal")
+            for i in range(len(table))]
+
+
 @pytest.mark.parametrize("n,tol,kappa,m,n_rows,n_umklapp", [
     (8, DEFAULT_TOL_FACTOR, 1.0, 1.0, 0, 0),
     (8, 0.2, 1.0, 1.0, 4, 0),
@@ -525,19 +539,31 @@ def assert_csv_stdout(monkeypatch, argv, expected):
 ], ids=["n8", "n8-tol", "n17-umklapp", "n512-kappa-m"])
 def test_processes_bytes_match_reference(n, tol, kappa, m, n_rows, n_umklapp,
                                           monkeypatch):
-    grid = ModeGrid(n, OscillatorParams(kappa=kappa, m=m, a=1.0))
-    table = enumerate_three_phonon(grid, tol * grid.params.omega_max)
-    rows = [(table.n1[i], table.n2[i], table.n3[i], table.g[i],
-             float(table.delta_omega[i]),
-             "umklapp" if table.g[i] != 0 else "normal")
-            for i in range(len(table))]
+    rows = processes_reference_rows(n, tol, kappa, m, 1.0)
     assert len(rows) == n_rows
     assert sum(row[5] == "umklapp" for row in rows) == n_umklapp
     assert_csv_stdout(monkeypatch,
                       ("processes", "--n", str(n), "--tol", repr(tol),
                        "--kappa", repr(kappa), "--m", repr(m)),
-                      reference_csv(("n1", "n2", "n3", "g", "delta_omega",
-                                     "kind"), rows))
+                      reference_csv(PROCESSES_HEADER, rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 80), tol=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+       kappa=st.floats(0.01, 100.0), m=st.floats(0.01, 100.0),
+       a=st.floats(1e-3, 1e3))
+@example(n=2, tol=2.0, kappa=1.0, m=1.0, a=1.0)
+@example(n=3, tol=2.0, kappa=1.0, m=1.0, a=1.0)
+def test_processes_bytes_match_reference_on_any_grid(n, tol, kappa, m, a):
+    """Odd and even grids; tol 2 admits every pair, so umklapp rows of both
+    signs of g sit beside normal rows in one table."""
+    rows = processes_reference_rows(n, tol, kappa, m, a)
+    with pytest.MonkeyPatch.context() as patch:
+        assert_csv_stdout(patch,
+                          ("processes", "--n", str(n), "--tol", repr(tol),
+                           "--kappa", repr(kappa), "--m", repr(m),
+                           "--a", repr(a)),
+                          reference_csv(PROCESSES_HEADER, rows))
 
 
 @pytest.mark.parametrize("mode,phonons", [
